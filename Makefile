@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race chaos fuzz fuzz-bug crash txn serve integrity bench bench-smoke obs gclean systables ci
+.PHONY: all vet build test race chaos fuzz fuzz-bug crash txn serve integrity bench bench-smoke obs gclean systables lakebench-test ci
 
 all: build
 
@@ -148,4 +148,10 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/benchlake -json e2 e15
 
-ci: vet build test race obs chaos fuzz crash txn serve integrity gclean systables bench-smoke
+# The benchmark's own tests (a separate module) at one and two cores:
+# same-seed runs must report identical per-layer counts whatever
+# GOMAXPROCS is.
+lakebench-test:
+	cd lakebench && $(GO) test -count=1 -cpu 1,2 ./...
+
+ci: vet build test race obs chaos fuzz crash txn serve integrity gclean systables lakebench-test bench-smoke

@@ -36,16 +36,17 @@ func main() {
 		JOIN aws_dataset.customer_orders AS o ON o.customer_id = ads.customer_id
 		WHERE o.order_total > 270.0`)
 	must(err)
-	fmt.Printf("\nlisting 3 cross-cloud join: %d rows; vpn meter: %s\n", res.Batch.N, dep.VPN.Meter())
+	egress := func() int64 { return dep.Obs.Get("omni.egress_bytes") }
+	fmt.Printf("\nlisting 3 cross-cloud join: %d rows; vpn egress: %d bytes\n", res.Batch.N, egress())
 
 	// The same query without pushdown ships the whole remote table.
-	dep.VPN.Meter().Reset()
+	before := egress()
 	_, err = dep.SubmitWith(analyst, `SELECT o.order_id, ads.id
 		FROM local_dataset.ads_impressions AS ads
 		JOIN aws_dataset.customer_orders AS o ON o.customer_id = ads.customer_id
 		WHERE o.order_total > 270.0`, omni.SubmitOptions{DisablePushdown: true})
 	must(err)
-	fmt.Printf("without pushdown:           vpn meter: %s\n", dep.VPN.Meter())
+	fmt.Printf("without pushdown:           vpn egress: %d bytes\n", egress()-before)
 
 	// Per-query security: a tampered session token is rejected by the
 	// untrusted proxy; a scoped credential cannot escape its paths.

@@ -104,7 +104,8 @@ func main() {
 	must(err)
 	fmt.Printf("read api join:    %d rows, first email %q  <- masked at the boundary\n",
 		joined.N, joined.Column("buyer_email").Value(0).S)
-	fmt.Printf("planner meter:    %s\n", smart.Meter)
+	fmt.Printf("planner counters: dpp_applied=%d read_sessions=%d readapi_bytes=%d\n",
+		smart.Obs.Get("sparkle.dpp_applied"), smart.Obs.Get("sparkle.read_sessions"), smart.Obs.Get("sparkle.readapi_bytes"))
 
 	// Path 3: aggregate pushdown — the server computes partials and
 	// ships a tiny payload (§3.4 future work, implemented).

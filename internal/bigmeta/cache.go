@@ -87,8 +87,10 @@ const RefreshWorkers = 16
 // Cache is the metadata cache for BigLake and Object tables.
 type Cache struct {
 	clock *sim.Clock
-	meter *sim.Meter
-	sink  obs.Sink
+	// obs receives "bigmeta.cache_refreshes" and, through Res, the
+	// refresh retries: a private registry until UseObs installs a
+	// shared one.
+	obs *obs.Registry
 
 	// Res is the retry policy for the store operations a refresh
 	// issues; a refresh that hits a transient LIST/GET fault retries
@@ -101,32 +103,26 @@ type Cache struct {
 }
 
 // NewCache returns an empty cache charging background work to clock.
-func NewCache(clock *sim.Clock, meter *sim.Meter) *Cache {
-	if meter == nil {
-		meter = &sim.Meter{}
-	}
-	res := resilience.DefaultPolicy()
-	res.Meter = meter
-	return &Cache{
+func NewCache(clock *sim.Clock) *Cache {
+	c := &Cache{
 		clock:     clock,
-		meter:     meter,
-		sink:      meter,
-		Res:       res,
+		Res:       resilience.DefaultPolicy(),
 		entries:   make(map[string][]FileEntry),
 		refreshed: make(map[string]time.Duration),
 	}
+	c.UseObs(obs.NewRegistry())
+	return c
 }
 
-// UseObs tees the cache's counters into a shared registry under
-// "bigmeta."-prefixed names (legacy meter names keep working) and
-// routes refresh retry metrics under "resilience.*".
+// UseObs points the cache's counters, and its refresh retry metrics
+// under "resilience.*", at a shared registry. Call during setup.
 func (c *Cache) UseObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	c.sink = obs.Tee(c.meter, r.Prefixed("bigmeta."))
+	c.obs = r
 	if c.Res != nil {
-		c.Res.Meter = obs.Tee(c.meter, r.Prefixed("resilience."))
+		c.Res.Meter = r.Prefixed("resilience.")
 	}
 }
 
@@ -221,7 +217,7 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 	c.entries[table] = entries
 	c.refreshed[table] = c.clock.Now()
 	c.mu.Unlock()
-	c.sink.Add("cache_refreshes", 1)
+	c.obs.Counter("bigmeta.cache_refreshes").Add(1)
 	return len(entries), nil
 }
 

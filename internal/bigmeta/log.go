@@ -103,8 +103,9 @@ type TxOptions struct {
 // trail (§3.5).
 type Log struct {
 	clock *sim.Clock
-	meter *sim.Meter
-	msink obs.Sink
+	// obs receives the "bigmeta.meta_*" counters: a private registry
+	// until UseObs installs a shared one.
+	obs *obs.Registry
 
 	mu      sync.RWMutex
 	version int64
@@ -146,14 +147,10 @@ type Log struct {
 }
 
 // NewLog returns an empty transaction log.
-func NewLog(clock *sim.Clock, meter *sim.Meter) *Log {
-	if meter == nil {
-		meter = &sim.Meter{}
-	}
+func NewLog(clock *sim.Clock) *Log {
 	return &Log{
 		clock:         clock,
-		meter:         meter,
-		msink:         meter,
+		obs:           obs.NewRegistry(),
 		baseline:      make(map[string][]FileEntry),
 		applied:       make(map[string]int64),
 		pins:          make(map[pinKey][]FileEntry),
@@ -171,13 +168,12 @@ type pinKey struct {
 // pinCacheMax bounds the historical-snapshot cache.
 const pinCacheMax = 256
 
-// UseObs tees the log's commit counters into a shared registry under
-// "bigmeta."-prefixed names; legacy meter names keep working.
+// UseObs points the log's commit counters at a shared registry. Call
+// during setup, before commits run.
 func (l *Log) UseObs(r *obs.Registry) {
-	if r == nil {
-		return
+	if r != nil {
+		l.obs = r
 	}
-	l.msink = obs.Tee(l.meter, r.Prefixed("bigmeta."))
 }
 
 // AttachJournal installs the durable commit sink. Commits made after
@@ -238,7 +234,7 @@ func (l *Log) CommitTxIf(principal string, opts TxOptions, deltas map[string]Tab
 	defer l.mu.Unlock()
 	if opts.TxnID != "" {
 		if v, ok := l.applied[opts.TxnID]; ok {
-			l.msink.Add("meta_commit_replays", 1)
+			l.obs.Counter("bigmeta.meta_commit_replays").Add(1)
 			return v, nil
 		}
 	}
@@ -251,7 +247,7 @@ func (l *Log) CommitTxIf(principal string, opts TxOptions, deltas map[string]Tab
 		}
 		for i := int(start); i < len(l.history); i++ {
 			if err := check(l.history[i]); err != nil {
-				l.msink.Add("meta_commit_conflicts", 1)
+				l.obs.Counter("bigmeta.meta_commit_conflicts").Add(1)
 				return 0, err
 			}
 		}
@@ -299,7 +295,7 @@ func (l *Log) CommitTxIf(principal string, opts TxOptions, deltas map[string]Tab
 	if opts.TxnID != "" {
 		l.applied[opts.TxnID] = rec.Version
 	}
-	l.msink.Add("meta_commits", 1)
+	l.obs.Counter("bigmeta.meta_commits").Add(1)
 	if l.BaselineEvery > 0 && len(l.tail) >= l.BaselineEvery {
 		l.compactLocked()
 	}
@@ -346,7 +342,7 @@ func (l *Log) Restore(commits []TxCommit) error {
 			l.applied[c.TxnID] = c.Version
 		}
 	}
-	l.msink.Add("meta_commits_restored", int64(len(commits)))
+	l.obs.Counter("bigmeta.meta_commits_restored").Add(int64(len(commits)))
 	return nil
 }
 
@@ -374,7 +370,7 @@ func (l *Log) compactLocked() {
 	}
 	l.baselineVersion = l.version
 	l.tail = nil
-	l.msink.Add("meta_compactions", 1)
+	l.obs.Counter("bigmeta.meta_compactions").Add(1)
 }
 
 func applyDelta(files []FileEntry, d TableDelta) []FileEntry {
@@ -415,7 +411,7 @@ func (l *Log) Snapshot(table string, version int64) ([]FileEntry, int64, error) 
 		l.pinMu.Lock()
 		if cached, ok := l.pins[k]; ok {
 			l.pinMu.Unlock()
-			l.msink.Add("meta_snapshot_pin_hits", 1)
+			l.obs.Counter("bigmeta.meta_snapshot_pin_hits").Add(1)
 			return append([]FileEntry(nil), cached...), version, nil
 		}
 		files := replay(l.history, table, version)
@@ -427,8 +423,8 @@ func (l *Log) Snapshot(table string, version int64) ([]FileEntry, int64, error) 
 		l.pins[k] = append([]FileEntry(nil), files...)
 		l.pinOrder = append(l.pinOrder, k)
 		l.pinMu.Unlock()
-		l.msink.Add("meta_snapshot_pin_misses", 1)
-		l.msink.Add("meta_snapshot_replays", 1)
+		l.obs.Counter("bigmeta.meta_snapshot_pin_misses").Add(1)
+		l.obs.Counter("bigmeta.meta_snapshot_replays").Add(1)
 		return files, version, nil
 	}
 	files := append([]FileEntry(nil), l.baseline[table]...)

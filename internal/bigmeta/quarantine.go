@@ -51,14 +51,14 @@ func (l *Log) applyQuarantineLocked(rec CommitRecord) {
 				l.quarantined[table] = marks
 			}
 			if _, ok := marks[m.Key]; !ok {
-				l.msink.Add("meta_quarantines", 1)
+				l.obs.Counter("bigmeta.meta_quarantines").Add(1)
 			}
 			marks[m.Key] = m
 		}
 		for _, k := range d.Unquarantine {
 			if _, ok := marks[k]; ok {
 				delete(marks, k)
-				l.msink.Add("meta_unquarantines", 1)
+				l.obs.Counter("bigmeta.meta_unquarantines").Add(1)
 			}
 		}
 		for _, k := range d.Removed {

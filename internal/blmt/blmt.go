@@ -21,6 +21,7 @@ import (
 	"biglake/internal/engine"
 	"biglake/internal/iceberg"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/security"
 	"biglake/internal/sim"
@@ -57,8 +58,9 @@ type Manager struct {
 	// Res is the retry policy for data-file reads/writes and the
 	// Iceberg export commit CAS. Nil behaves like resilience.NoRetry.
 	Res *resilience.Policy
-	// Meter records the manager's retry/fault counters.
-	Meter *sim.Meter
+	// Obs is the registry the manager counts into: its policy's
+	// "resilience.*" retries and the "blmt.repair_*" outcomes.
+	Obs *obs.Registry
 
 	// Journal, when set, opens a durable intent before every DML /
 	// compaction transaction's data-file PUTs, so a crash mid-protocol
@@ -118,10 +120,10 @@ var _ engine.Mutator = (*Manager)(nil)
 
 // New assembles a Manager.
 func New(cat *catalog.Catalog, auth *security.Authority, log *bigmeta.Log, clock *sim.Clock, stores map[string]*objstore.Store) *Manager {
-	meter := &sim.Meter{}
+	reg := obs.NewRegistry()
 	res := resilience.DefaultPolicy()
-	res.Meter = meter
-	return &Manager{Catalog: cat, Auth: auth, Log: log, Clock: clock, Stores: stores, Res: res, Meter: meter}
+	res.Meter = reg.Prefixed("resilience.")
+	return &Manager{Catalog: cat, Auth: auth, Log: log, Clock: clock, Stores: stores, Res: res, Obs: reg}
 }
 
 func (m *Manager) store(cloud string) (*objstore.Store, error) {

@@ -33,7 +33,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	if err := store.CreateBucket(cred, "customer-bucket"); err != nil {
 		t.Fatal(err)
@@ -42,11 +42,11 @@ func newEnv(t *testing.T) *env {
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	stores := map[string]*objstore.Store{"gcp": store}
 	mgr := New(cat, auth, log, clock, stores)
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "customer-bucket", "conn"
-	meta := bigmeta.NewCache(clock, nil)
+	meta := bigmeta.NewCache(clock)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	eng.SetMutator(mgr)
@@ -423,7 +423,7 @@ func TestRetriesAbsorbTransientInsertFault(t *testing.T) {
 	if res.Batch.Column("n").Value(0).AsInt() != 1 {
 		t.Fatal("insert did not survive the transient fault")
 	}
-	if ev.mgr.Meter.Get("retries") == 0 {
+	if ev.mgr.Obs.Get("resilience.retries") == 0 {
 		t.Fatal("expected a metered retry")
 	}
 }

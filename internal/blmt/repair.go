@@ -84,7 +84,7 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 				return rep, err
 			}
 			rep.Orphaned++
-			m.Meter.Add("repair_orphan_unquarantined", 1)
+			m.Obs.Counter("blmt.repair_orphan_unquarantined").Add(1)
 			continue
 		}
 
@@ -100,25 +100,25 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 				return rep, err
 			}
 			rep.Reverified++
-			m.Meter.Add("repair_reverified", 1)
+			m.Obs.Counter("blmt.repair_reverified").Add(1)
 			continue
 		}
 
 		if fetch == nil {
 			rep.Failed = append(rep.Failed, mark.Key)
-			m.Meter.Add("repair_failed", 1)
+			m.Obs.Counter("blmt.repair_failed").Add(1)
 			continue
 		}
 		replica, ferr := fetch(t, f)
 		if ferr != nil {
 			rep.Failed = append(rep.Failed, mark.Key)
-			m.Meter.Add("repair_failed", 1)
+			m.Obs.Counter("blmt.repair_failed").Add(1)
 			continue
 		}
 		if verr := verifyRepairSource(table, f, replica); verr != nil {
 			// The replica is rotten too — never swap in unverified bytes.
 			rep.Failed = append(rep.Failed, mark.Key)
-			m.Meter.Add("repair_replica_corrupt", 1)
+			m.Obs.Counter("blmt.repair_replica_corrupt").Add(1)
 			continue
 		}
 		key := fmt.Sprintf("%sdata/repair-v%06d-%03d.blk", t.Prefix, version, i)
@@ -156,7 +156,7 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 			return rep, err
 		}
 		rep.Rewritten++
-		m.Meter.Add("repair_rewritten", 1)
+		m.Obs.Counter("blmt.repair_rewritten").Add(1)
 	}
 	return rep, nil
 }

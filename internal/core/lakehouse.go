@@ -76,15 +76,15 @@ func New(opts Options) (*Lakehouse, error) {
 	}
 
 	clock := sim.NewClock()
-	store := objstore.New(sim.ProfileFor(opts.Cloud), clock, nil)
+	store := objstore.New(sim.ProfileFor(opts.Cloud), clock)
 	sa := objstore.Credential{Principal: "sa-biglake@" + opts.Region}
 	if err := store.CreateBucket(sa, "bq-managed"); err != nil {
 		return nil, err
 	}
 	cat := catalog.New()
 	auth := security.NewAuthority("lakehouse-"+opts.Region, opts.Admin)
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	stores := map[string]*objstore.Store{opts.Cloud: store}
 
 	eng := engine.New(cat, auth, meta, log, clock, stores, engOpts)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
@@ -275,4 +276,29 @@ func TestIntPartitionColumnInjection(t *testing.T) {
 // writeColFile is a test helper building a one-batch columnar file.
 func writeColFile(b *vector.Batch) ([]byte, error) {
 	return colfmt.WriteFile(b, colfmt.WriterOptions{})
+}
+
+// clockMutator is a fakeMutator whose writes take simulated time, as a
+// real commit's PUTs would.
+type clockMutator struct {
+	*fakeMutator
+	ev *env
+}
+
+func (m clockMutator) Insert(ctx *QueryContext, table string, rows *vector.Batch) error {
+	m.ev.clock.Advance(7 * time.Millisecond)
+	return m.fakeMutator.Insert(ctx, table, rows)
+}
+
+// TestDMLResultCarriesSimElapsed: a DML result reports the simulated
+// time the statement took, like a SELECT result does.
+func TestDMLResultCarriesSimElapsed(t *testing.T) {
+	ev, m := eventsEnv(t)
+	ev.eng.SetMutator(clockMutator{fakeMutator: m, ev: ev})
+	before := ev.clock.Now()
+	res := ev.query(t, adminP, "INSERT INTO ds.events VALUES (7, 'c', 3.0, 700)")
+	elapsed := ev.clock.Now() - before
+	if res.Stats.SimElapsed <= 0 || res.Stats.SimElapsed != elapsed {
+		t.Fatalf("INSERT SimElapsed = %v, want clock delta %v", res.Stats.SimElapsed, elapsed)
+	}
 }

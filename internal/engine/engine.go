@@ -170,10 +170,9 @@ type Engine struct {
 	Log     *bigmeta.Log
 	Clock   *sim.Clock
 	Shuffle *shuffle.Service
-	Meter   *sim.Meter
 	Opts    Options
-	// Obs is the unified metrics registry the engine publishes into
-	// ("engine.*" counters, "resilience.*" via the policy tee). New
+	// Obs is the metrics registry the engine counts into ("engine.*",
+	// its policy's "resilience.*", its shuffle's "shuffle.*"). New
 	// creates a private one; UseObs installs a shared one.
 	Obs *obs.Registry
 	// Tracer, when set, records a trace-span tree for every query that
@@ -231,20 +230,16 @@ const stmtCacheCap = 1024
 
 // New assembles an engine.
 func New(cat *catalog.Catalog, auth *security.Authority, meta *bigmeta.Cache, log *bigmeta.Log, clock *sim.Clock, stores map[string]*objstore.Store, opts Options) *Engine {
-	meter := &sim.Meter{}
 	reg := obs.NewRegistry()
 	res := resilience.DefaultPolicy()
-	// Retry/hedge counters land in the legacy meter under their short
-	// names and in the registry under "resilience.*".
-	res.Meter = obs.Tee(meter, reg.Prefixed("resilience."))
+	res.Meter = reg.Prefixed("resilience.")
 	eng := &Engine{
 		Catalog: cat,
 		Auth:    auth,
 		Meta:    meta,
 		Log:     log,
 		Clock:   clock,
-		Shuffle: shuffle.New(clock, nil),
-		Meter:   meter,
+		Shuffle: shuffle.New(clock, reg),
 		Opts:    opts,
 		Obs:     reg,
 		Res:     res,
@@ -503,7 +498,7 @@ func QueryClass(stmt sqlparse.Statement) string {
 	return "other"
 }
 
-func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Result, error) {
+func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (res *Result, err error) {
 	owned := e.ensureTrace(ctx)
 	pre := ctx.Stats
 	parentSpan := ctx.Span
@@ -515,6 +510,9 @@ func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Resul
 	ctx.Stats.SimStart = e.Clock.Now()
 	defer func() {
 		ctx.Stats.SimElapsed = e.Clock.Now() - ctx.Stats.SimStart
+		if res != nil {
+			res.Stats.SimElapsed = ctx.Stats.SimElapsed
+		}
 		exec.End()
 		ctx.Span = parentSpan
 		e.mirrorStats(pre, ctx.Stats)
@@ -562,7 +560,6 @@ func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Resul
 		// Copy-out boundary: the result must survive the arena being
 		// recycled by the next query.
 		b = vector.DetachBatch(b)
-		ctx.Stats.SimElapsed = e.Clock.Now() - ctx.Stats.SimStart
 		return &Result{Batch: b, Stats: ctx.Stats}, nil
 	case *sqlparse.InsertStmt:
 		return e.execInsert(ctx, s)

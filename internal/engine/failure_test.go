@@ -44,7 +44,7 @@ func TestScanRetriesAbsorbTransientGetFailure(t *testing.T) {
 	if res.Batch.Column("n").Value(0).AsInt() != 120 {
 		t.Fatalf("count = %v", res.Batch.Row(0))
 	}
-	if got := ev.eng.Meter.Get("retries"); got == 0 {
+	if got := ev.eng.Obs.Get("resilience.retries"); got == 0 {
 		t.Fatal("expected at least one metered retry")
 	}
 }

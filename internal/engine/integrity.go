@@ -97,10 +97,15 @@ func (e *Engine) containCorrupt(ctx *QueryContext, t catalog.Table, f bigmeta.Fi
 	return false, cause
 }
 
-// fileRead is one worker's outcome for a single file.
+// fileRead is one worker's outcome for a single file. full, when set,
+// is the decoded file for the scan cache under key: the caller adds it
+// after the parallel fetch, in file order, so eviction is deterministic.
+// skipped marks a corrupt file that containment omitted.
 type fileRead struct {
-	batch     *vector.Batch
-	hit, miss bool
+	batch              *vector.Batch
+	hit, miss, skipped bool
+	key                scanCacheKey
+	full               *vector.Batch
 }
 
 // readFileOnce performs one verified fetch-and-decode of a file:
@@ -108,7 +113,7 @@ type fileRead struct {
 // corrupt response is never blindly retried in place), then cache
 // lookup by the *actual* generation, then decode with CRC
 // verification. A decode that fails verification never populates the
-// scan cache.
+// scan cache: only a verified decode is handed back for caching.
 func (e *Engine) readFileOnce(ctx *QueryContext, tr sim.Charger, fsp *obs.Span, store *objstore.Store, cred objstore.Credential, t catalog.Table, f bigmeta.FileEntry, filePreds []colfmt.Predicate) (fileRead, error) {
 	var rd fileRead
 	var data []byte
@@ -132,30 +137,26 @@ func (e *Engine) readFileOnce(ctx *QueryContext, tr sim.Charger, fsp *obs.Span, 
 		// The file-entry generation may be unknown (0): the GET just
 		// told us the real one, so the decode may still be reusable —
 		// or worth caching for the next query.
-		cacheKey := scanCacheKey{Cloud: t.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: info.Generation}
-		if full, ok := e.scanCache.get(cacheKey); ok {
+		// A hit is handed back too: re-adding it in file order makes
+		// its recency independent of which worker looked it up first.
+		rd.key = scanCacheKey{Cloud: t.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: info.Generation}
+		full, ok := e.scanCache.get(rd.key)
+		if ok {
 			rd.hit = true
 			fsp.SetStr("cache", "hit")
-			b, err := finishDecoded(ctx.mem, full, filePreds, f, t)
-			if err != nil {
-				return rd, err
+		} else {
+			rd.miss = true
+			fsp.SetStr("cache", "miss")
+			if full, err = decodeFile(data, nil); err != nil {
+				// Poisoning guard: the failed decode is not cached.
+				return rd, integrity.Annotate(fmt.Errorf("engine: %s/%s: %w", f.Bucket, f.Key, err), t.FullName(), f.Bucket, f.Key)
 			}
-			rd.batch = b
-			return rd, nil
 		}
-		rd.miss = true
-		fsp.SetStr("cache", "miss")
-		full, err := decodeFile(data, nil)
-		if err != nil {
-			// Poisoning guard: the failed decode is not cached.
-			return rd, integrity.Annotate(fmt.Errorf("engine: %s/%s: %w", f.Bucket, f.Key, err), t.FullName(), f.Bucket, f.Key)
-		}
-		e.scanCache.put(cacheKey, full)
 		b, err := finishDecoded(ctx.mem, full, filePreds, f, t)
 		if err != nil {
 			return rd, err
 		}
-		rd.batch = b
+		rd.batch, rd.full = b, full
 		return rd, nil
 	}
 

@@ -53,7 +53,8 @@ func resolveEngCounters(r *obs.Registry) engCounters {
 	}
 }
 
-// UseObs points the engine (and its scan cache and retry policy) at a
+// UseObs points the engine (and its scan cache, shuffle and retry
+// policy) at a
 // shared registry. Call during setup, before queries run.
 func (e *Engine) UseObs(r *obs.Registry) {
 	if r == nil {
@@ -64,8 +65,9 @@ func (e *Engine) UseObs(r *obs.Registry) {
 	if e.scanCache != nil {
 		e.scanCache.observe(e.ec.cacheEntries, e.ec.cacheBytes)
 	}
+	e.Shuffle.UseObs(r)
 	if e.Res != nil {
-		e.Res.Meter = obs.Tee(e.Meter, r.Prefixed("resilience."))
+		e.Res.Meter = r.Prefixed("resilience.")
 	}
 	e.Sys.SetRegistry(r)
 }

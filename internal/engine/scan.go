@@ -446,93 +446,100 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 }
 
 // readColdFiles fetches and decodes the files the warm pass could not
-// serve from the scan cache, in parallel worker tracks.
+// serve from the scan cache, in parallel worker tracks. Worker k reads
+// cold[k], cold[k+W], ... in order on tracks[k], and decoded files
+// enter the scan cache in cold order once every worker is done, so the
+// simulated timeline and the cache's eviction order follow the file
+// list, never the goroutine scheduler.
 func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, cold []int, results []*vector.Batch, filePreds []colfmt.Predicate) error {
 	workers := ScanWorkers
 	if len(cold) < workers {
 		workers = len(cold)
 	}
-	hits := make([]bool, len(cold))
-	misses := make([]bool, len(cold))
-	skips := make([]bool, len(cold))
-	tracks := startTracks(e.Clock, workers)
-	var wg sync.WaitGroup
-	errs := make(chan error, len(cold))
-	sem := make(chan struct{}, workers)
-	for w, fi := range cold {
-		wg.Add(1)
-		go func(w, i int, f bigmeta.FileEntry) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tr := tracks[w%workers]
-			var fsp *obs.Span
-			if ctx.Span != nil {
-				fsp = ctx.Span.ChildAt(tr, "read "+f.Key)
-				fsp.SetLane(w % workers)
-				fsp.SetInt("bytes", f.Size)
+	// fetch reads one file on track tr: a verified read, then on
+	// detected corruption one re-fetch, then containment.
+	fetch := func(tr *sim.Track, lane int, f bigmeta.FileEntry) (rd fileRead, err error) {
+		var fsp *obs.Span
+		if ctx.Span != nil {
+			fsp = ctx.Span.ChildAt(tr, "read "+f.Key)
+			fsp.SetLane(lane)
+			fsp.SetInt("bytes", f.Size)
+		}
+		defer func() {
+			if fsp != nil && rd.batch != nil {
+				fsp.SetInt("rows", int64(rd.batch.N))
 			}
-			defer func() {
-				if fsp != nil && results[i] != nil {
-					fsp.SetInt("rows", int64(results[i].N))
-				}
-				fsp.End()
-			}()
+			fsp.End()
+		}()
 
-			rd, err := e.readFileOnce(ctx, tr, fsp, store, cred, t, f, filePreds)
-			if err != nil && errors.Is(err, integrity.ErrCorrupt) {
-				// Detected corruption: evict every cached generation of
-				// the object and re-fetch once from a fresh source. A
-				// sick *response* heals here; a sick *stored copy* fails
-				// again and is quarantined.
+		rd, err = e.readFileOnce(ctx, tr, fsp, store, cred, t, f, filePreds)
+		if err != nil && errors.Is(err, integrity.ErrCorrupt) {
+			// Detected corruption: evict every cached generation of
+			// the object and re-fetch once from a fresh source. A
+			// sick *response* heals here; a sick *stored copy* fails
+			// again and is quarantined.
+			e.recordDetection(err)
+			if e.scanCache != nil {
+				e.scanCache.evictObject(t.Cloud, f.Bucket, f.Key)
+			}
+			fsp.SetStr("integrity", "refetch")
+			rd, err = e.readFileOnce(ctx, tr, fsp, store, cred, t, f, filePreds)
+			switch {
+			case err == nil:
+				e.Obs.Counter("integrity.recovered.refetch").Add(1)
+			case errors.Is(err, integrity.ErrCorrupt):
 				e.recordDetection(err)
 				if e.scanCache != nil {
 					e.scanCache.evictObject(t.Cloud, f.Bucket, f.Key)
 				}
-				fsp.SetStr("integrity", "refetch")
-				rd2, err2 := e.readFileOnce(ctx, tr, fsp, store, cred, t, f, filePreds)
-				switch {
-				case err2 == nil:
-					e.Obs.Counter("integrity.recovered.refetch").Add(1)
-					rd, err = rd2, nil
-				case errors.Is(err2, integrity.ErrCorrupt):
-					e.recordDetection(err2)
-					if e.scanCache != nil {
-						e.scanCache.evictObject(t.Cloud, f.Bucket, f.Key)
-					}
-					fsp.SetStr("integrity", "quarantined")
-					skipped, ferr := e.containCorrupt(ctx, t, f, err2)
-					if skipped {
-						skips[w] = true
-						e.Obs.Counter("integrity.quarantine_skips").Add(1)
-						return
-					}
-					errs <- ferr
-					return
-				default:
-					errs <- err2
-					return
+				fsp.SetStr("integrity", "quarantined")
+				skipped, ferr := e.containCorrupt(ctx, t, f, err)
+				if skipped {
+					e.Obs.Counter("integrity.quarantine_skips").Add(1)
+					return fileRead{skipped: true}, nil
 				}
+				return fileRead{}, ferr
 			}
-			if err != nil {
-				errs <- err
-				return
+		}
+		if err != nil {
+			return fileRead{}, err
+		}
+		return rd, nil
+	}
+
+	reads := make([]fileRead, len(cold))
+	tracks := startTracks(e.Clock, workers)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(cold))
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for w := k; w < len(cold); w += workers {
+				rd, err := fetch(tracks[k], k, files[cold[w]])
+				if err != nil {
+					errs <- err
+				}
+				reads[w] = rd
 			}
-			hits[w], misses[w] = rd.hit, rd.miss
-			results[i] = rd.batch
-		}(w, fi, files[fi])
+		}(k)
 	}
 	wg.Wait()
 	// Join tracks before any error return so sim tracks never leak.
 	joinTracks(tracks)
-	for w := range cold {
-		if hits[w] {
+	for w, i := range cold {
+		rd := reads[w]
+		results[i] = rd.batch
+		if rd.full != nil {
+			e.scanCache.put(rd.key, rd.full)
+		}
+		if rd.hit {
 			ctx.Stats.CacheHits++
 		}
-		if misses[w] {
+		if rd.miss {
 			ctx.Stats.CacheMisses++
 		}
-		if skips[w] {
+		if rd.skipped {
 			ctx.Stats.QuarantineSkips++
 		}
 	}

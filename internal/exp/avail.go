@@ -7,7 +7,6 @@ import (
 
 	"biglake/internal/engine"
 	"biglake/internal/objstore"
-	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/workload"
 )
@@ -64,26 +63,44 @@ func RunE13(scale, rounds int) (E13Result, error) {
 }
 
 func runE13Arm(scale, rounds int, rate float64, arm string) (E13Row, error) {
-	env, err := NewEnv(engine.DefaultOptions())
+	env, queries, err := newE13Env(scale, arm)
 	if err != nil {
 		return E13Row{}, err
 	}
+	return measureE13Arm(env, queries, rounds, rate, arm)
+}
+
+// newE13Env loads TPC-H, installs the arm's engine policy and warms the
+// metadata cache fault-free, so both arms start identically.
+func newE13Env(scale int, arm string) (*Env, []workload.Query, error) {
+	env, err := NewEnv(engine.DefaultOptions())
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := workload.LoadTPCH(env.WEnv, workload.DefaultTPCH(scale)); err != nil {
-		return E13Row{}, err
+		return nil, nil, err
 	}
 	if arm == "no-retry" {
 		env.Engine.Res = resilience.NoRetry()
-		env.Engine.Res.Meter = obs.Tee(env.Engine.Meter, env.Obs.Prefixed("resilience."))
+		env.Engine.Res.Meter = env.Obs.Prefixed("resilience.")
 	}
 	queries := workload.TPCHQueries("bench")
-
-	// Warm the metadata cache fault-free so both arms start identically.
 	for _, q := range queries {
 		if _, err := env.Engine.Query(engine.NewContext(Admin, "warm-"+q.ID), q.SQL); err != nil {
-			return E13Row{}, err
+			return nil, nil, err
 		}
 	}
+	return env, queries, nil
+}
 
+// measureE13Arm runs the arm's rounds under injected faults. Retries
+// and hedges are read from the shared "resilience.*" names; only the
+// engine policy spends them here (TestE13CountsOnlyEnginePolicy), and
+// the registry may be shared across environments (benchlake installs
+// one per experiment), so the arm reports deltas.
+func measureE13Arm(env *Env, queries []workload.Query, rounds int, rate float64, arm string) (E13Row, error) {
+	base := env.Obs.Snapshot().Counters
+	delta := func(name string) int64 { return env.Obs.Get(name) - base[name] }
 	env.Store.InjectFaults(objstore.FaultProfile{
 		Seed:         1337,
 		Rate:         rate,
@@ -106,8 +123,8 @@ func runE13Arm(scale, rounds int, rate float64, arm string) (E13Row, error) {
 		}
 	}
 	row.SuccessRate = float64(row.Succeeded) / float64(row.Queries)
-	row.Retries = env.Engine.Meter.Get("retries")
-	row.Hedges = env.Engine.Meter.Get("hedges")
-	row.FaultsInjected = env.Store.Meter().Get("faults_injected")
+	row.Retries = delta("resilience.retries")
+	row.Hedges = delta("resilience.hedges")
+	row.FaultsInjected = delta("objstore.faults.injected")
 	return row, nil
 }

@@ -71,8 +71,8 @@ type Env struct {
 	Cred   objstore.Credential
 	WEnv   *workload.Env
 	// Obs is the environment-wide metrics registry: the engine's own
-	// registry with the object store, Big Metadata, and Storage API
-	// teed into it, so one snapshot covers the whole environment.
+	// registry, which the object store, Big Metadata, and Storage API
+	// also count into, so one snapshot covers the whole environment.
 	Obs *obs.Registry
 }
 
@@ -87,7 +87,7 @@ func (e *Env) EnableTracing(capTraces int) *obs.Tracer {
 // NewEnv builds an environment with the given engine options.
 func NewEnv(opts engine.Options) (*Env, error) {
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa-bench@biglake"}
 	if err := store.CreateBucket(cred, "bench"); err != nil {
 		return nil, err
@@ -100,8 +100,8 @@ func NewEnv(opts engine.Options) (*Env, error) {
 	if err := auth.RegisterConnection(Admin, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"}); err != nil {
 		return nil, err
 	}
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	stores := map[string]*objstore.Store{"gcp": store}
 	eng := engine.New(cat, auth, meta, log, clock, stores, opts)
 	eng.ManagedCred = cred

@@ -134,23 +134,22 @@ func RunE10(adsRows, orderRows int) (E10Result, error) {
 		JOIN aws_dataset.customer_orders AS o ON o.customer_id = ads.customer_id
 		WHERE o.order_total > 1350.0`
 
-	dep.VPN.Meter().Reset()
-	before := clock.Now()
+	egress := func() int64 { return dep.Obs.Get("omni.egress_bytes") }
+	before, egressBefore := clock.Now(), egress()
 	push, err := dep.Submit(Admin, query)
 	if err != nil {
 		return E10Result{}, err
 	}
 	pushTime := clock.Now() - before
-	pushEgress := dep.VPN.Meter().Get("egress_bytes")
+	pushEgress := egress() - egressBefore
 
-	dep.VPN.Meter().Reset()
-	before = clock.Now()
+	before, egressBefore = clock.Now(), egress()
 	full, err := dep.SubmitWith(Admin, query, omni.SubmitOptions{DisablePushdown: true})
 	if err != nil {
 		return E10Result{}, err
 	}
 	fullTime := clock.Now() - before
-	fullEgress := dep.VPN.Meter().Get("egress_bytes")
+	fullEgress := egress() - egressBefore
 
 	out := E10Result{
 		RemoteRows:     int64(orderRows),
@@ -564,7 +563,7 @@ type A3Result struct {
 // without columnar baselines after many commits.
 func RunA3(commits int) (A3Result, error) {
 	clock := sim.NewClock()
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	log.BaselineEvery = 64
 	for i := 0; i < commits; i++ {
 		if _, err := log.Commit("w", map[string]bigmeta.TableDelta{

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"biglake/internal/engine"
+	"biglake/internal/obs"
 )
 
 // These tests assert the paper-shaped outcome of every experiment at
@@ -281,6 +282,33 @@ func TestE13AvailabilityShape(t *testing.T) {
 	}
 	if r3.Retries == 0 || r3.FaultsInjected == 0 {
 		t.Fatalf("resilient arm saw no chaos: retries=%d faults=%d", r3.Retries, r3.FaultsInjected)
+	}
+}
+
+// TestE13CountsOnlyEnginePolicy: E13's Retries/Hedges columns read the
+// shared "resilience.*" names, which every policy in the environment
+// counts into. They stand for the engine policy alone only while no
+// other policy (metadata cache, Storage API) spends a retry or hedge
+// during the measured rounds; this pins that down.
+func TestE13CountsOnlyEnginePolicy(t *testing.T) {
+	for _, arm := range []string{"no-retry", "resilient"} {
+		env, queries, err := newE13Env(1, arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		others := obs.NewRegistry()
+		env.Meta.Res.Meter = others.Prefixed("resilience.")
+		env.Server.Res.Meter = others.Prefixed("resilience.")
+		row, err := measureE13Arm(env, queries, 5, 0.05, arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := others.Get("resilience.retries") + others.Get("resilience.hedges"); n != 0 {
+			t.Fatalf("%s: non-engine policies spent %d retries/hedges; E13 columns would over-count", arm, n)
+		}
+		if arm == "resilient" && row.Retries == 0 {
+			t.Fatalf("%s: engine policy spent no retries at 5%% faults", arm)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func testStore(t *testing.T) (*objstore.Store, objstore.Credential) {
 	t.Helper()
 	clock := sim.NewClock()
-	st := objstore.New(sim.GCP, clock, nil)
+	st := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@test"}
 	if err := st.CreateBucket(cred, "lake"); err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"biglake/internal/engine"
 	"biglake/internal/mlmodel"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/security"
 	"biglake/internal/shuffle"
 	"biglake/internal/sim"
@@ -83,7 +84,9 @@ type Runtime struct {
 	Stores  map[string]*objstore.Store
 	Clock   *sim.Clock
 	Shuffle *shuffle.Service
-	Meter   *sim.Meter
+	// Obs is the registry the runtime (and its shuffle) counts into,
+	// under "inference.*" and "shuffle.*".
+	Obs *obs.Registry
 
 	// Cred reads unstructured objects (the object table's delegated
 	// connection credential).
@@ -103,12 +106,13 @@ type Runtime struct {
 
 // NewRuntime builds a runtime.
 func NewRuntime(auth *security.Authority, stores map[string]*objstore.Store, clock *sim.Clock, cred objstore.Credential) *Runtime {
+	reg := obs.NewRegistry()
 	return &Runtime{
 		Auth:          auth,
 		Stores:        stores,
 		Clock:         clock,
-		Shuffle:       shuffle.New(clock, nil),
-		Meter:         &sim.Meter{},
+		Shuffle:       shuffle.New(clock, reg),
+		Obs:           reg,
 		Cred:          cred,
 		MaxModelBytes: MaxModelBytes,
 		models:        make(map[string]*Model),
@@ -233,7 +237,7 @@ func (rt *Runtime) decodeImage(ctx *engine.QueryContext, args []*vector.Column) 
 	rt.mu.Lock()
 	rt.lastRun = MemoryStats{RawImageBytes: rawBytes, PeakWorkerBytes: rawMax + SandboxOverheadBytes}
 	rt.mu.Unlock()
-	rt.Meter.Add("images_decoded", int64(uris.Len))
+	rt.Obs.Counter("inference.images_decoded").Add(int64(uris.Len))
 	return &vector.Column{Type: vector.Bytes, Len: uris.Len, Enc: vector.Plain, Strs: out}, nil
 }
 
@@ -363,7 +367,7 @@ func (rt *Runtime) predict(ctx *engine.QueryContext, modelName string, input *ve
 	}
 	rt.lastRun = stats
 	rt.mu.Unlock()
-	rt.Meter.Add("inferences", int64(tensors.Len))
+	rt.Obs.Counter("inference.inferences").Add(int64(tensors.Len))
 
 	fields := append([]vector.Field{}, input.Schema.Fields...)
 	fields = append(fields, vector.Field{Name: "predictions", Type: vector.String})
@@ -481,6 +485,6 @@ func (rt *Runtime) processDocument(ctx *engine.QueryContext, modelName string, i
 		}
 		builder.Append(row...)
 	}
-	rt.Meter.Add("documents_processed", int64(uris.Len))
+	rt.Obs.Counter("inference.documents_processed").Add(int64(uris.Len))
 	return builder.Build(), nil
 }

@@ -32,7 +32,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	if err := store.CreateBucket(cred, "media"); err != nil {
 		t.Fatal(err)
@@ -42,8 +42,8 @@ func newEnv(t *testing.T) *env {
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
 	stores := map[string]*objstore.Store{"gcp": store}
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	rt := NewRuntime(auth, stores, clock, cred)
@@ -387,7 +387,7 @@ func TestSignedURLPathNeverReadByDremel(t *testing.T) {
 	})
 	ev.rt.RegisterModel(&Model{Name: "ds.p", DocParser: &mlmodel.DocParser{Name: "p"}})
 	ev.sql(t, `SELECT * FROM ML.PROCESS_DOCUMENT(MODEL ds.p, TABLE ds.documents)`)
-	if got := ev.rt.Meter.Get("documents_processed"); got != 1 {
+	if got := ev.rt.Obs.Get("inference.documents_processed"); got != 1 {
 		t.Fatalf("documents_processed = %d", got)
 	}
 }

@@ -203,8 +203,8 @@ func (rt *Runtime) remotePredict(ctx *engine.QueryContext, model *Model, input *
 	if len(resp.Predictions) != tensors.Len {
 		return nil, fmt.Errorf("inference: remote returned %d predictions for %d inputs", len(resp.Predictions), tensors.Len)
 	}
-	rt.Meter.Add("remote_inferences", int64(tensors.Len))
-	rt.Meter.Add("remote_payload_bytes", payloadBytes)
+	rt.Obs.Counter("inference.remote_inferences").Add(int64(tensors.Len))
+	rt.Obs.Counter("inference.remote_payload_bytes").Add(payloadBytes)
 
 	fields := append([]vector.Field{}, input.Schema.Fields...)
 	fields = append(fields, vector.Field{Name: "predictions", Type: vector.String})

@@ -145,7 +145,6 @@ func (b *bucket) sortedKeys() []string {
 type Store struct {
 	profile sim.CloudProfile
 	clock   *sim.Clock
-	meter   *sim.Meter
 	obs     atomic.Pointer[obs.Registry]
 	oc      atomic.Pointer[storeCounters]
 
@@ -215,16 +214,12 @@ type signedGrant struct {
 }
 
 // New returns an empty Store for the given cloud profile, charging
-// simulated latency to clock and recording request/byte counters on
-// meter. meter may be nil.
-func New(profile sim.CloudProfile, clock *sim.Clock, meter *sim.Meter) *Store {
-	if meter == nil {
-		meter = &sim.Meter{}
-	}
+// simulated latency to clock and counting requests and bytes into a
+// private registry until UseObs installs a shared one.
+func New(profile sim.CloudProfile, clock *sim.Clock) *Store {
 	s := &Store{
 		profile: profile,
 		clock:   clock,
-		meter:   meter,
 		buckets: make(map[string]*bucket),
 		urls:    make(map[string]signedGrant),
 	}
@@ -239,9 +234,6 @@ func (s *Store) Profile() sim.CloudProfile { return s.profile }
 
 // Clock returns the simulated clock the store charges.
 func (s *Store) Clock() *sim.Clock { return s.clock }
-
-// Meter returns the store's request/byte meter.
-func (s *Store) Meter() *sim.Meter { return s.meter }
 
 // Obs returns the store's metrics registry (per-op counters under
 // "objstore.*" plus the "objstore.faults" event stream).
@@ -275,7 +267,6 @@ func (s *Store) CreateBucket(cred Credential, name string) error {
 		objects:      make(map[string]*object),
 		lastMutation: make(map[string]time.Duration),
 	}
-	s.meter.Add("requests", 1)
 	return nil
 }
 
@@ -348,8 +339,6 @@ func (s *Store) put(cred Credential, bucketName, key string, data []byte, conten
 		}
 		if curGen != ifGeneration {
 			s.mu.Unlock()
-			s.meter.Add("requests", 1)
-			s.meter.Add("precondition_failures", 1)
 			oc := s.counters()
 			oc.putCount.Add(1)
 			oc.preconditionFailures.Add(1)
@@ -404,8 +393,6 @@ func (s *Store) put(cred Credential, bucketName, key string, data []byte, conten
 	info := obj.info
 	s.mu.Unlock()
 
-	s.meter.Add("requests", 1)
-	s.meter.Add("put_bytes", int64(len(data)))
 	oc := s.counters()
 	oc.putCount.Add(1)
 	oc.putBytes.Add(int64(len(data)))
@@ -458,7 +445,6 @@ func (s *Store) getRange(ch sim.Charger, cred Credential, bucketName, key string
 	obj, ok := b.objects[key]
 	if !ok {
 		s.mu.Unlock()
-		s.meter.Add("requests", 1)
 		s.counters().getCount.Add(1)
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %s/%s", ErrNoSuchObject, bucketName, key)
 	}
@@ -509,8 +495,6 @@ func (s *Store) getRange(ch sim.Charger, cred Credential, bucketName, key string
 		}
 	}
 
-	s.meter.Add("requests", 1)
-	s.meter.Add("get_bytes", int64(len(data)))
 	oc := s.counters()
 	oc.getCount.Add(1)
 	oc.getBytes.Add(int64(len(data)))
@@ -541,13 +525,11 @@ func (s *Store) HeadOn(ch sim.Charger, cred Credential, bucketName, key string) 
 	obj, ok := b.objects[key]
 	if !ok {
 		s.mu.Unlock()
-		s.meter.Add("requests", 1)
 		s.counters().headCount.Add(1)
 		return ObjectInfo{}, fmt.Errorf("%w: %s/%s", ErrNoSuchObject, bucketName, key)
 	}
 	info := obj.info
 	s.mu.Unlock()
-	s.meter.Add("requests", 1)
 	s.counters().headCount.Add(1)
 	ch.Charge(s.profile.HeadLatency)
 	return info, nil
@@ -577,7 +559,6 @@ func (s *Store) Delete(cred Credential, bucketName, key string) error {
 	delete(b.lastMutation, key)
 	b.keysDirty = true
 	s.mu.Unlock()
-	s.meter.Add("requests", 1)
 	s.counters().deleteCount.Add(1)
 	s.clock.Advance(s.profile.DeleteLatency)
 	return nil
@@ -638,8 +619,6 @@ func (s *Store) ListOn(ch sim.Charger, cred Credential, bucketName, prefix, page
 	}
 	s.mu.Unlock()
 
-	s.meter.Add("requests", 1)
-	s.meter.Add("list_pages", 1)
 	s.counters().listCount.Add(1)
 	ch.Charge(s.profile.ListPageLatency)
 	return page, nil
@@ -707,8 +686,6 @@ func (s *Store) Fetch(url string) ([]byte, ObjectInfo, error) {
 	copy(data, obj.data)
 	info := obj.info
 	s.mu.Unlock()
-	s.meter.Add("requests", 1)
-	s.meter.Add("get_bytes", int64(len(data)))
 	oc := s.counters()
 	oc.getCount.Add(1)
 	oc.getBytes.Add(int64(len(data)))

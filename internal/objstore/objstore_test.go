@@ -12,7 +12,7 @@ import (
 
 func newTestStore() (*Store, Credential) {
 	clock := sim.NewClock()
-	st := New(sim.GCP, clock, nil)
+	st := New(sim.GCP, clock)
 	admin := Credential{Principal: "admin@test"}
 	if err := st.CreateBucket(admin, "b"); err != nil {
 		panic(err)
@@ -218,7 +218,7 @@ func TestListPagination(t *testing.T) {
 	}
 	st.Put(admin, "b", "other/file", []byte("x"), "")
 
-	before := st.Meter().Get("list_pages")
+	before := st.Obs().Get("objstore.list.count")
 	objs, err := st.ListAll(admin, "b", "data/")
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestListPagination(t *testing.T) {
 	if len(objs) != n {
 		t.Fatalf("listed %d, want %d", len(objs), n)
 	}
-	pages := st.Meter().Get("list_pages") - before
+	pages := st.Obs().Get("objstore.list.count") - before
 	if pages != 3 {
 		t.Fatalf("list used %d pages, want 3", pages)
 	}
@@ -319,7 +319,7 @@ func TestGetChargesLatencyAndMetersBytes(t *testing.T) {
 	st, admin := newTestStore()
 	payload := make([]byte, 2*sim.MB)
 	st.Put(admin, "b", "big", payload, "")
-	st.Meter().Reset()
+	before := st.Obs().Get("objstore.get.bytes")
 	start := st.Clock().Now()
 	if _, _, err := st.Get(admin, "b", "big"); err != nil {
 		t.Fatal(err)
@@ -329,8 +329,8 @@ func TestGetChargesLatencyAndMetersBytes(t *testing.T) {
 	if elapsed != want {
 		t.Fatalf("get latency %v, want %v", elapsed, want)
 	}
-	if st.Meter().Get("get_bytes") != int64(len(payload)) {
-		t.Fatalf("get_bytes = %d", st.Meter().Get("get_bytes"))
+	if got := st.Obs().Get("objstore.get.bytes") - before; got != int64(len(payload)) {
+		t.Fatalf("objstore.get.bytes = %d", got)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func setup(t *testing.T) (map[string]*objstore.Store, objstore.Credential, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	if err := store.CreateBucket(cred, "media"); err != nil {
 		t.Fatal(err)

@@ -103,9 +103,12 @@ type HistogramSnapshot struct {
 	Sum    int64
 }
 
-// Sink is anything that accepts named integer increments. Both
-// *sim.Meter and the registry adapters below satisfy it, so components
-// can feed legacy meters and the unified registry through one field.
+// Sink is anything that accepts named integer increments. *Registry
+// and its Prefixed view satisfy it; it is the type of a counter field
+// on code that must not know which registry it reports into (a
+// resilience.Policy shared by several components). Every component
+// counts into exactly one registry: its own until UseObs installs a
+// shared one.
 type Sink interface {
 	Add(name string, v int64)
 }
@@ -279,8 +282,8 @@ func (r *Registry) Events(stream string) []string {
 }
 
 // Prefixed returns a Sink that routes Add(name, v) to the registry
-// under prefix+name — how components with legacy short meter names
-// ("retries") publish dotted registry names ("resilience.retries").
+// under prefix+name — how code with short counter names ("retries")
+// publishes dotted registry names ("resilience.retries").
 func (r *Registry) Prefixed(prefix string) Sink {
 	return prefixedSink{r: r, prefix: prefix}
 }
@@ -291,24 +294,3 @@ type prefixedSink struct {
 }
 
 func (p prefixedSink) Add(name string, v int64) { p.r.Add(p.prefix+name, v) }
-
-// Tee fans one Sink write out to several (nil entries are skipped at
-// construction). Used to keep legacy sim.Meter names alive while the
-// same increments land in the registry under dotted names.
-func Tee(sinks ...Sink) Sink {
-	kept := make([]Sink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	return teeSink(kept)
-}
-
-type teeSink []Sink
-
-func (t teeSink) Add(name string, v int64) {
-	for _, s := range t {
-		s.Add(name, v)
-	}
-}

@@ -93,15 +93,11 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.Prefixed("p.").Add("x", 1) // must not panic
 }
 
-func TestTeeAndPrefixed(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	sink := Tee(a.Prefixed("alpha."), b, nil)
-	sink.Add("retries", 3)
+func TestPrefixed(t *testing.T) {
+	a := NewRegistry()
+	a.Prefixed("alpha.").Add("retries", 3)
 	if got := a.Get("alpha.retries"); got != 3 {
-		t.Fatalf("prefixed tee leg = %d, want 3", got)
-	}
-	if got := b.Get("retries"); got != 3 {
-		t.Fatalf("plain tee leg = %d, want 3", got)
+		t.Fatalf("prefixed add = %d, want 3", got)
 	}
 }
 

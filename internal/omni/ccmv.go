@@ -233,8 +233,8 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 		}
 	}
 	mv.lastVersion = version
-	d.msink.Add("ccmv_refreshes", 1)
-	d.msink.Add("ccmv_bytes_copied", report.BytesCopied)
+	d.Obs.Counter("omni.ccmv_refreshes").Add(1)
+	d.Obs.Counter("omni.ccmv_bytes_copied").Add(report.BytesCopied)
 	return report, nil
 }
 

@@ -76,21 +76,17 @@ func (r *Region) InRealm(p security.Principal) bool { return r.realm[p] }
 // validate the allow-list, and meter the bytes moved.
 type VPN struct {
 	clock *sim.Clock
-	meter *sim.Meter
-	// sink fans the VPN counters into the legacy meter plus (via
-	// Deployment.UseObs) a registry under "omni."-prefixed names.
-	sink obs.Sink
+	// obs is the owner's registry; it receives the "omni.vpn_*" and
+	// "omni.egress_bytes" counters.
+	obs *obs.Registry
 
 	mu      sync.Mutex
 	allowed map[string]bool // region names admitted to the VPN
 }
 
-// NewVPN builds the channel.
-func NewVPN(clock *sim.Clock, meter *sim.Meter) *VPN {
-	if meter == nil {
-		meter = &sim.Meter{}
-	}
-	return &VPN{clock: clock, meter: meter, sink: meter, allowed: make(map[string]bool)}
+// NewVPN builds the channel, counting into its owner's registry reg.
+func NewVPN(clock *sim.Clock, reg *obs.Registry) *VPN {
+	return &VPN{clock: clock, obs: reg, allowed: make(map[string]bool)}
 }
 
 // Admit allow-lists a region endpoint.
@@ -115,16 +111,13 @@ func (v *VPN) Call(ch sim.Charger, fromRegion, toRegion string, payloadBytes int
 		return nil
 	}
 	ch.Charge(profile.CrossCloudRTT + sim.StreamTime(payloadBytes, profile.EgressPerMB))
-	v.sink.Add("vpn_calls", 1)
-	v.sink.Add("vpn_bytes", payloadBytes)
+	v.obs.Counter("omni.vpn_calls").Add(1)
+	v.obs.Counter("omni.vpn_bytes").Add(payloadBytes)
 	if fromRegion != toRegion {
-		v.sink.Add("egress_bytes", payloadBytes)
+		v.obs.Counter("omni.egress_bytes").Add(payloadBytes)
 	}
 	return nil
 }
-
-// Meter exposes the VPN's counters.
-func (v *VPN) Meter() *sim.Meter { return v.meter }
 
 // Deployment is the whole multi-cloud installation.
 type Deployment struct {
@@ -132,17 +125,14 @@ type Deployment struct {
 	Catalog *catalog.Catalog
 	Auth    *security.Authority
 	VPN     *VPN
-	Meter   *sim.Meter
-	// Obs is the deployment-wide metrics registry: control-plane
-	// counters land under "omni.*" and every region's data plane
-	// (object store, Big Metadata, engine, Storage API) is teed into
+	// Obs is the deployment-wide metrics registry: control-plane and
+	// VPN counters land under "omni.*" and every region's data plane
+	// (object store, Big Metadata, engine, Storage API) counts into
 	// it, so one snapshot covers the whole installation.
 	Obs *obs.Registry
 	// Tracer, when set, records one span tree per submitted query with
 	// per-region subquery spans and egress-byte attributes.
 	Tracer *obs.Tracer
-	// msink fans Deployment counters into Meter and Obs.
-	msink obs.Sink
 	// Res is the retry policy for cross-cloud transfer operations
 	// (CCMV file copies/deletes). Nil behaves like resilience.NoRetry.
 	Res *resilience.Policy
@@ -159,22 +149,18 @@ type Deployment struct {
 // regions yet.
 func NewDeployment(clock *sim.Clock, admins ...security.Principal) *Deployment {
 	admins = append(admins, ControlPrincipal)
-	meter := &sim.Meter{}
 	reg := obs.NewRegistry()
 	res := resilience.DefaultPolicy()
-	res.Meter = obs.Tee(meter, reg.Prefixed("resilience."))
+	res.Meter = reg.Prefixed("resilience.")
 	d := &Deployment{
 		Clock:   clock,
 		Catalog: catalog.New(),
 		Auth:    security.NewAuthority("omni-deployment-secret", admins...),
-		VPN:     NewVPN(clock, nil),
-		Meter:   meter,
+		VPN:     NewVPN(clock, reg),
 		Obs:     reg,
-		msink:   obs.Tee(meter, reg.Prefixed("omni.")),
 		Res:     res,
 		regions: make(map[string]*Region),
 	}
-	d.VPN.sink = obs.Tee(d.VPN.meter, reg.Prefixed("omni."))
 	return d
 }
 
@@ -186,9 +172,9 @@ func (d *Deployment) AddRegion(name, cloud string) (*Region, error) {
 	if _, ok := d.regions[name]; ok {
 		return nil, fmt.Errorf("omni: region %q already deployed", name)
 	}
-	store := objstore.New(sim.ProfileFor(cloud), d.Clock, nil)
-	meta := bigmeta.NewCache(d.Clock, nil)
-	log := bigmeta.NewLog(d.Clock, nil)
+	store := objstore.New(sim.ProfileFor(cloud), d.Clock)
+	meta := bigmeta.NewCache(d.Clock)
+	log := bigmeta.NewLog(d.Clock)
 	stores := map[string]*objstore.Store{cloud: store}
 	eng := engine.New(d.Catalog, d.Auth, meta, log, d.Clock, stores, engine.DefaultOptions())
 	srv := storageapi.NewServer(d.Catalog, d.Auth, meta, log, d.Clock, stores)

@@ -137,7 +137,7 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 	// Cross-cloud query (§5.6.1): run remote subqueries with filter
 	// pushdown, stream results back as temp tables, rewrite, and join
 	// locally.
-	d.msink.Add("cross_cloud_queries", 1)
+	d.Obs.Counter("omni.cross_cloud_queries").Add(1)
 	rewritten := cloneSelect(sel)
 	for _, t := range tables {
 		if regionOf[t] == home {

@@ -208,7 +208,7 @@ func (cw *crashWorld) wire() {
 	mgr.Crash = cw.cp
 	w.mgr = mgr
 
-	cw.meta = bigmeta.NewCache(w.clock, nil)
+	cw.meta = bigmeta.NewCache(w.clock)
 	srv := storageapi.NewServer(w.cat, w.auth, cw.meta, w.log, w.clock, w.stores)
 	srv.ManagedCred = w.cred
 	srv.Journal = cw.j
@@ -351,7 +351,7 @@ func (cw *crashWorld) recoverWorld() error {
 	if err != nil {
 		return fmt.Errorf("reopen journal: %w", err)
 	}
-	rec, err := wal.Recover(j, cw.w.clock, nil)
+	rec, err := wal.Recover(j, cw.w.clock)
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}

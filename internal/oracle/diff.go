@@ -147,7 +147,7 @@ type world struct {
 
 func newWorld() (*world, error) {
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa-lake@corp"}
 	if err := store.CreateBucket(cred, diffBucket); err != nil {
 		return nil, err
@@ -162,7 +162,7 @@ func newWorld() (*world, error) {
 	}); err != nil {
 		return nil, err
 	}
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	stores := map[string]*objstore.Store{"gcp": store}
 	mgr := blmt.New(cat, auth, log, clock, stores)
 	mgr.DefaultCloud = "gcp"
@@ -230,7 +230,7 @@ func (h *harness) serveRun(eng *engine.Engine, qid, sql string) (*Resultset, err
 
 // engineFor builds a fresh engine (and metadata cache) for one cell.
 func (h *harness) engineFor(cfg Config) *engine.Engine {
-	meta := bigmeta.NewCache(h.w.clock, nil)
+	meta := bigmeta.NewCache(h.w.clock)
 	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, engine.Options{
 		UseMetadataCache: cfg.Cache,
 		EnableDPP:        cfg.DPP,

@@ -98,7 +98,7 @@ func sumPrefix(snap obs.Snapshot, prefix string) int64 {
 
 // integrityEngine builds a cell engine wired to the sweep's registry.
 func (h *harness) integrityEngine(cell IntegrityCell, reg *obs.Registry, skipQuarantined bool) *engine.Engine {
-	meta := bigmeta.NewCache(h.w.clock, nil)
+	meta := bigmeta.NewCache(h.w.clock)
 	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, engine.Options{
 		UseMetadataCache: true,
 		EnableDPP:        true,

@@ -215,7 +215,7 @@ func (tw *txnWorld) wire() {
 	w.log.AttachJournal(tw.j)
 	w.log.Crash = tw.cp
 
-	meta := bigmeta.NewCache(w.clock, nil)
+	meta := bigmeta.NewCache(w.clock)
 	eng := engine.New(w.cat, w.auth, meta, w.log, w.clock, w.stores, engine.Options{
 		UseMetadataCache: true, EnableDPP: true, PruneGranularity: bigmeta.PruneFiles,
 		GCLean: true,
@@ -277,7 +277,7 @@ func (tw *txnWorld) recoverWorld() error {
 	if err != nil {
 		return fmt.Errorf("reopen journal: %w", err)
 	}
-	rec, err := wal.Recover(j, tw.w.clock, nil)
+	rec, err := wal.Recover(j, tw.w.clock)
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}

@@ -30,6 +30,7 @@ import (
 
 	"biglake/internal/integrity"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/sim"
 )
 
@@ -150,16 +151,9 @@ type Policy struct {
 	// the primary attempt's charged latency exceeds this threshold, a
 	// second attempt is issued and the cheaper completion is paid.
 	HedgeAfter time.Duration
-	// Meter, when set, records retries/hedges/exhaustions. Any sink
-	// with a counter Add works: a *sim.Meter, an obs registry, or a
-	// tee over both.
-	Meter Meter
-}
-
-// Meter is the counter sink a Policy reports into. *sim.Meter and the
-// obs registry/sink types satisfy it.
-type Meter interface {
-	Add(name string, v int64)
+	// Meter, when set, records retries/hedges/exhaustions under short
+	// names; owners install their registry's "resilience." view.
+	Meter obs.Sink
 }
 
 // DefaultPolicy returns the production policy every component installs

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/sim"
 )
 
@@ -33,9 +34,9 @@ func TestClassify(t *testing.T) {
 
 func TestDoRetriesTransientWithBackoff(t *testing.T) {
 	clock := sim.NewClock()
-	meter := &sim.Meter{}
+	reg := obs.NewRegistry()
 	p := DefaultPolicy()
-	p.Meter = meter
+	p.Meter = reg
 	b := NewBudget(clock, 10, 1)
 
 	calls := 0
@@ -55,8 +56,8 @@ func TestDoRetriesTransientWithBackoff(t *testing.T) {
 	if clock.Now() == 0 {
 		t.Fatal("retries charged no backoff to the simulated clock")
 	}
-	if meter.Get("retries") != 2 || meter.Get("retry_successes") != 1 {
-		t.Fatalf("retries=%d retry_successes=%d", meter.Get("retries"), meter.Get("retry_successes"))
+	if reg.Get("retries") != 2 || reg.Get("retry_successes") != 1 {
+		t.Fatalf("retries=%d retry_successes=%d", reg.Get("retries"), reg.Get("retry_successes"))
 	}
 	if b.Remaining() != 8 {
 		t.Fatalf("budget remaining = %d", b.Remaining())
@@ -184,9 +185,9 @@ func TestDoCASBoundedOnPersistentConflict(t *testing.T) {
 
 func TestHedgedDoRacesSlowPrimary(t *testing.T) {
 	clock := sim.NewClock()
-	meter := &sim.Meter{}
+	reg := obs.NewRegistry()
 	p := DefaultPolicy() // HedgeAfter 150ms
-	p.Meter = meter
+	p.Meter = reg
 	slowOnce := true
 	err := p.HedgedDo(clock, nil, "GET b/k", func(ch sim.Charger) error {
 		if slowOnce {
@@ -205,16 +206,16 @@ func TestHedgedDoRacesSlowPrimary(t *testing.T) {
 	if clock.Now() != want {
 		t.Fatalf("charged %v, want %v", clock.Now(), want)
 	}
-	if meter.Get("hedges") != 1 || meter.Get("hedge_wins") != 1 {
-		t.Fatalf("hedges=%d wins=%d", meter.Get("hedges"), meter.Get("hedge_wins"))
+	if reg.Get("hedges") != 1 || reg.Get("hedge_wins") != 1 {
+		t.Fatalf("hedges=%d wins=%d", reg.Get("hedges"), reg.Get("hedge_wins"))
 	}
 }
 
 func TestHedgedDoFastPrimaryDoesNotHedge(t *testing.T) {
 	clock := sim.NewClock()
-	meter := &sim.Meter{}
+	reg := obs.NewRegistry()
 	p := DefaultPolicy()
-	p.Meter = meter
+	p.Meter = reg
 	if err := p.HedgedDo(clock, nil, "GET b/k", func(ch sim.Charger) error {
 		ch.Charge(30 * time.Millisecond)
 		return nil
@@ -224,7 +225,7 @@ func TestHedgedDoFastPrimaryDoesNotHedge(t *testing.T) {
 	if clock.Now() != 30*time.Millisecond {
 		t.Fatalf("charged %v", clock.Now())
 	}
-	if meter.Get("hedges") != 0 {
+	if reg.Get("hedges") != 0 {
 		t.Fatal("fast primary must not hedge")
 	}
 }
@@ -247,7 +248,7 @@ func TestNilPolicyAndNilBudgetAreSafe(t *testing.T) {
 
 func TestListAllRetriesPerPage(t *testing.T) {
 	clock := sim.NewClock()
-	st := objstore.New(sim.GCP, clock, nil)
+	st := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@test"}
 	if err := st.CreateBucket(cred, "b"); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ type world struct {
 func newWorld(t *testing.T, nFiles int) *world {
 	t.Helper()
 	w := &world{clock: sim.NewClock(), sizes: map[string]int64{}}
-	w.store = objstore.New(sim.GCP, w.clock, nil)
+	w.store = objstore.New(sim.GCP, w.clock)
 	w.cred = objstore.Credential{Principal: "sa-lake@corp"}
 	if err := w.store.CreateBucket(w.cred, "lake"); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func newWorld(t *testing.T, nFiles int) *world {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	w.log = bigmeta.NewLog(w.clock, nil)
+	w.log = bigmeta.NewLog(w.clock)
 	schema := vector.NewSchema(vector.Field{Name: "x", Type: vector.Int64})
 	if err := w.cat.CreateTable(catalog.Table{
 		Dataset: "ds", Name: "t", Type: catalog.Native, Schema: schema,

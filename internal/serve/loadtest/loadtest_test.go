@@ -26,7 +26,7 @@ const adminP = security.Principal("admin@corp")
 func world(t *testing.T, cfg serve.Config, tenants int, lcfg Config) *serve.Server {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	for _, b := range []string{"data-bucket", "journal-bucket"} {
 		if err := store.CreateBucket(cred, b); err != nil {
@@ -37,7 +37,7 @@ func world(t *testing.T, cfg serve.Config, tenants int, lcfg Config) *serve.Serv
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	j, err := wal.Open(store, cred, "journal-bucket", "")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func world(t *testing.T, cfg serve.Config, tenants int, lcfg Config) *serve.Serv
 	bm := blmt.New(cat, auth, log, clock, stores)
 	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "data-bucket", "conn"
 	bm.Journal = j
-	meta := bigmeta.NewCache(clock, nil)
+	meta := bigmeta.NewCache(clock)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	eng.SetMutator(bm)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 
+	"biglake/internal/obs"
 	"biglake/internal/sim"
 )
 
@@ -24,7 +25,8 @@ var (
 // slices (serialized vector batches).
 type Service struct {
 	clock *sim.Clock
-	meter *sim.Meter
+	// obs receives "shuffle.bytes", the payload bytes buffered.
+	obs *obs.Registry
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -37,12 +39,17 @@ type session struct {
 	checkpoint [][][]byte
 }
 
-// New returns an empty shuffle service.
-func New(clock *sim.Clock, meter *sim.Meter) *Service {
-	if meter == nil {
-		meter = &sim.Meter{}
+// New returns an empty shuffle service that counts into its owner's
+// registry reg.
+func New(clock *sim.Clock, reg *obs.Registry) *Service {
+	return &Service{clock: clock, obs: reg, sessions: make(map[string]*session)}
+}
+
+// UseObs points the service's counters at a shared registry.
+func (s *Service) UseObs(r *obs.Registry) {
+	if r != nil {
+		s.obs = r
 	}
-	return &Service{clock: clock, meter: meter, sessions: make(map[string]*session)}
 }
 
 // CreateSession allocates a shuffle session with n partitions and
@@ -77,7 +84,7 @@ func (s *Service) Write(id string, partition int, payload []byte) error {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	sess.partitions[partition] = append(sess.partitions[partition], cp)
-	s.meter.Add("shuffle_bytes", int64(len(payload)))
+	s.obs.Counter("shuffle.bytes").Add(int64(len(payload)))
 	return nil
 }
 

@@ -1,7 +1,6 @@
 // Package sim provides the simulation substrate shared by every
 // BigLake component in this repository: a virtual clock, calibrated
-// latency/cost models for cloud services, seeded randomness, and
-// metering of simulated time, bytes moved, and request counts.
+// latency/cost models for cloud services, and seeded randomness.
 //
 // The paper's latency-bound results (metadata caching, BLMT commit
 // throughput, object-table listing, cross-cloud queries) are driven by
@@ -14,8 +13,6 @@
 package sim
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,68 +103,6 @@ func (t *Track) Now() time.Duration { return time.Duration(t.now.Load()) }
 
 // Join merges the track's frontier into the parent clock.
 func (t *Track) Join() { t.clock.AdvanceTo(t.Now()) }
-
-// Meter accumulates named counters (requests, bytes, simulated
-// nanoseconds) for one component or one experiment run. The zero value
-// is ready to use.
-type Meter struct {
-	mu     sync.Mutex
-	counts map[string]int64
-}
-
-// Add increments counter name by v.
-func (m *Meter) Add(name string, v int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.counts == nil {
-		m.counts = make(map[string]int64)
-	}
-	m.counts[name] += v
-}
-
-// Get returns the current value of counter name.
-func (m *Meter) Get(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[name]
-}
-
-// Reset zeroes all counters.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.counts = nil
-}
-
-// Snapshot returns a copy of all counters.
-func (m *Meter) Snapshot() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.counts))
-	for k, v := range m.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the counters in sorted order, for logs and harness
-// output.
-func (m *Meter) String() string {
-	snap := m.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := ""
-	for i, k := range keys {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", k, snap[k])
-	}
-	return s
-}
 
 // RNG is a small deterministic PRNG (xorshift64*) used everywhere a
 // component needs reproducible pseudo-randomness without pulling in

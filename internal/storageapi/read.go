@@ -145,7 +145,6 @@ type Server struct {
 	Meta    *bigmeta.Cache
 	Log     *bigmeta.Log
 	Clock   *sim.Clock
-	Meter   *sim.Meter
 	Stores  map[string]*objstore.Store
 	// ManagedCred reads native tables.
 	ManagedCred objstore.Credential
@@ -162,9 +161,10 @@ type Server struct {
 	// Crash marks the write protocols' labeled crash points (nil = none).
 	Crash *crashpoint.Injector
 
-	// msink fans session/read counters into the legacy meter and (via
-	// UseObs) a shared registry under "storageapi.*" names.
-	msink obs.Sink
+	// obs receives the "storageapi.*" counters and, through Res, the
+	// retry metrics: a private registry until UseObs installs a shared
+	// one.
+	obs *obs.Registry
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -182,36 +182,32 @@ type cachedSession struct {
 
 // NewServer assembles a Storage API server.
 func NewServer(cat *catalog.Catalog, auth *security.Authority, meta *bigmeta.Cache, log *bigmeta.Log, clock *sim.Clock, stores map[string]*objstore.Store) *Server {
-	meter := &sim.Meter{}
-	res := resilience.DefaultPolicy()
-	res.Meter = meter
-	return &Server{
-		msink:      meter,
+	s := &Server{
 		Catalog:    cat,
 		Auth:       auth,
 		Meta:       meta,
 		Log:        log,
 		Clock:      clock,
-		Meter:      meter,
 		Stores:     stores,
 		SessionTTL: 10 * time.Minute,
-		Res:        res,
+		Res:        resilience.DefaultPolicy(),
 		sessions:   make(map[string]*session),
 		cache:      make(map[string]cachedSession),
 		writes:     make(map[string]*writeStream),
 	}
+	s.UseObs(obs.NewRegistry())
+	return s
 }
 
-// UseObs tees the server's counters into a shared registry under
-// "storageapi."-prefixed names and its retry metrics under
-// "resilience.*"; legacy meter names keep working.
+// UseObs points the server's counters, and its retry metrics under
+// "resilience.*", at a shared registry. Call during setup.
 func (s *Server) UseObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	s.msink = obs.Tee(s.Meter, r.Prefixed("storageapi."))
+	s.obs = r
 	if s.Res != nil {
-		s.Res.Meter = obs.Tee(s.Meter, r.Prefixed("resilience."))
+		s.Res.Meter = r.Prefixed("resilience.")
 	}
 }
 
@@ -273,7 +269,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	if c, ok := s.cache[key]; ok && s.Clock.Now() <= c.expires {
 		if sess, ok := s.sessions[c.id]; ok {
 			s.mu.Unlock()
-			s.msink.Add("sessions_reused", 1)
+			s.obs.Counter("storageapi.sessions_reused").Add(1)
 			sess.openStreams(c.id)
 			return s.describe(c.id, sess, true), nil
 		}
@@ -376,7 +372,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 
 	// Server-side session creation cost.
 	s.Clock.Advance(SessionLatency)
-	s.msink.Add("sessions_created", 1)
+	s.obs.Counter("storageapi.sessions_created").Add(1)
 	return s.describe(id, sess, false), nil
 }
 
@@ -465,8 +461,8 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 		return nil, err
 	}
 	payload := vector.EncodeBatch(batch, sess.req.KeepEncodings)
-	s.msink.Add("readrows_bytes", int64(len(payload)))
-	s.msink.Add("readrows_calls", 1)
+	s.obs.Counter("storageapi.readrows_bytes").Add(int64(len(payload)))
+	s.obs.Counter("storageapi.readrows_calls").Add(1)
 	return payload, nil
 }
 
@@ -580,8 +576,8 @@ func (s *Server) computeAggregates(ch sim.Charger, sess *session, files []bigmet
 		return nil, err
 	}
 	payload := vector.EncodeBatch(batch, false)
-	s.msink.Add("readrows_bytes", int64(len(payload)))
-	s.msink.Add("readrows_calls", 1)
+	s.obs.Counter("storageapi.readrows_bytes").Add(int64(len(payload)))
+	s.obs.Counter("storageapi.readrows_calls").Add(1)
 	return payload, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/vector"
 )
@@ -85,6 +86,8 @@ func TestReadRowsRetriesAbsorbFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	ev.srv.UseObs(reg)
 	ev.store.FailNext(1)
 	batch, err := ev.srv.ReadAll(sess)
 	if err != nil {
@@ -93,7 +96,7 @@ func TestReadRowsRetriesAbsorbFault(t *testing.T) {
 	if batch.N != 40 {
 		t.Fatalf("rows = %d", batch.N)
 	}
-	if ev.srv.Meter.Get("retries") == 0 {
+	if reg.Get("resilience.retries") == 0 {
 		t.Fatal("expected a metered retry")
 	}
 }

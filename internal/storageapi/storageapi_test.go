@@ -35,7 +35,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa-lake@corp"}
 	if err := store.CreateBucket(cred, "lake"); err != nil {
 		t.Fatal(err)
@@ -44,8 +44,8 @@ func newEnv(t *testing.T) *env {
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	srv := NewServer(cat, auth, meta, log, clock, map[string]*objstore.Store{"gcp": store})
 	srv.ManagedCred = cred
 	return &env{clock: clock, store: store, cat: cat, auth: auth, meta: meta, log: log, srv: srv, cred: cred}
@@ -615,15 +615,15 @@ func TestSnapshotReadsArePointInTime(t *testing.T) {
 
 func BenchmarkReadRowsVectorizedVsRowOriented(b *testing.B) {
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa"}
 	store.CreateBucket(cred, "lake")
 	cat := catalog.New()
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("s", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	srv := NewServer(cat, auth, meta, log, clock, map[string]*objstore.Store{"gcp": store})
 	srv.ManagedCred = cred
 

@@ -150,7 +150,7 @@ func (s *Server) AppendRows(streamID string, offset int64, rows *vector.Batch) (
 	}
 	ws.rows = merged
 	ws.offset += int64(rows.N)
-	s.msink.Add("appended_rows", int64(rows.N))
+	s.obs.Counter("storageapi.appended_rows").Add(int64(rows.N))
 
 	if ws.mode == CommittedMode {
 		if err := s.flushStreamLocked(ws, ws.offset); err != nil {

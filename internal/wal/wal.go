@@ -328,7 +328,7 @@ type Recovered struct {
 // refuses with a typed integrity error and the journal object must be
 // repaired first. Corrupt intents and aborts are dropped either way:
 // losing one can only make GC more conservative, never lose a commit.
-func Recover(j *Journal, clock *sim.Clock, meter *sim.Meter) (*Recovered, error) {
+func Recover(j *Journal, clock *sim.Clock) (*Recovered, error) {
 	recs, corrupt, err := j.records()
 	if err != nil {
 		return nil, err
@@ -371,7 +371,7 @@ func Recover(j *Journal, clock *sim.Clock, meter *sim.Meter) (*Recovered, error)
 	}
 	sort.Slice(commits, func(a, b int) bool { return commits[a].Version < commits[b].Version })
 
-	log := bigmeta.NewLog(clock, meter)
+	log := bigmeta.NewLog(clock)
 	if err := log.Restore(commits); err != nil {
 		return nil, err
 	}
@@ -402,14 +402,14 @@ func Recover(j *Journal, clock *sim.Clock, meter *sim.Meter) (*Recovered, error)
 	sort.Strings(rep.OrphanCandidates)
 	// Recovery statistics land in the store registry under "wal.*".
 	reg := j.Store.Obs()
-	reg.Add("wal.recover.runs", 1)
-	reg.Add("wal.recover.commits", int64(len(commits)))
-	reg.Add("wal.recover.unsealed_intents", int64(len(rep.UnsealedIntents)))
-	reg.Add("wal.recover.aborted_intents", int64(len(rep.AbortedIntents)))
-	reg.Add("wal.recover.orphan_candidates", int64(len(rep.OrphanCandidates)))
+	reg.Counter("wal.recover.runs").Add(1)
+	reg.Counter("wal.recover.commits").Add(int64(len(commits)))
+	reg.Counter("wal.recover.unsealed_intents").Add(int64(len(rep.UnsealedIntents)))
+	reg.Counter("wal.recover.aborted_intents").Add(int64(len(rep.AbortedIntents)))
+	reg.Counter("wal.recover.orphan_candidates").Add(int64(len(rep.OrphanCandidates)))
 	if n := len(rep.CorruptRecords); n > 0 {
-		reg.Add("integrity.detected.wal", int64(n))
-		reg.Add("wal.recover.demoted_commits", int64(rep.DemotedCommits))
+		reg.Counter("integrity.detected.wal").Add(int64(n))
+		reg.Counter("wal.recover.demoted_commits").Add(int64(rep.DemotedCommits))
 	}
 	return &Recovered{Log: log, Streams: streams, Report: rep}, nil
 }
@@ -456,8 +456,8 @@ func GCOrphans(store *objstore.Store, cred objstore.Credential, bucket string, p
 	}
 	sort.Strings(rep.Deleted)
 	reg := store.Obs()
-	reg.Add("wal.gc.scanned", int64(rep.Scanned))
-	reg.Add("wal.gc.deleted", int64(len(rep.Deleted)))
-	reg.Add("wal.gc.bytes", rep.Bytes)
+	reg.Counter("wal.gc.scanned").Add(int64(rep.Scanned))
+	reg.Counter("wal.gc.deleted").Add(int64(len(rep.Deleted)))
+	reg.Counter("wal.gc.bytes").Add(rep.Bytes)
 	return rep, nil
 }
