@@ -40,7 +40,8 @@ chaos:
 
 # The differential soak: ≥200 generated queries through every
 # {cache, DPP, prune granularity, faults} × {pre/post compaction}
-# cell, engine vs oracle, bit-identical or the build fails.
+# cell, plus the fixed multi-morsel battery at 1 and 4 morsel workers,
+# engine vs oracle, bit-identical or the build fails.
 fuzz:
 	$(GO) test -run 'TestDifferential|TestIcebergExportEquality' -v ./internal/oracle/
 
@@ -142,11 +143,16 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # Tiny-scale end-to-end run of the CPU-bound experiments (vectorized
-# reader + execution kernels), emitting BENCH_E2.json / BENCH_E15.json
-# for trend tracking. Timing thresholds are NOT enforced here — this
-# only guards that the measured paths run end to end.
+# reader + execution kernels) with -json output. Timing thresholds are
+# NOT enforced here — this only guards that the measured paths run end
+# to end. benchlake writes its BENCH_*.json files to the cwd, so it runs
+# from a temporary directory: the committed snapshots are regenerated
+# on purpose, never by CI.
 bench-smoke:
-	$(GO) run ./cmd/benchlake -json e2 e15
+	@tmp=$$(mktemp -d) && \
+	$(GO) build -o $$tmp/benchlake ./cmd/benchlake && \
+	(cd $$tmp && ./benchlake -json e2 e15); \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # The benchmark's own tests (a separate module) at one and two cores:
 # same-seed runs must report identical per-layer counts whatever

@@ -255,16 +255,15 @@ func BenchmarkE13Availability(b *testing.B) {
 }
 
 // BenchmarkE15VectorizedExec: typed hash kernels + morsel-driven
-// join/aggregation vs the row-at-a-time baseline, morsel-worker
-// scaling, and the generation-keyed scan cache's cold/warm effect
-// (DESIGN.md experiment E15). Real CPU time.
+// join/aggregation across morsel-worker counts, and the
+// generation-keyed scan cache's cold/warm effect (DESIGN.md experiment
+// E15). Real CPU time.
 func BenchmarkE15VectorizedExec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunE15(400000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Speedup, "kernel_speedup_x")
 		for _, r := range res.Scaling {
 			if r.Workers == 4 {
 				b.ReportMetric(r.Speedup, "scaling_w4_x")
@@ -291,10 +290,10 @@ func BenchmarkE14Recovery(b *testing.B) {
 	}
 }
 
-// BenchmarkE16Observability: trace-span attribution of the E15
-// speedup — per-stage join/aggregate gains and the scan cache's
-// sim-I/O delta, all read off the observability layer (DESIGN.md
-// experiment E16).
+// BenchmarkE16Observability: trace-span attribution of the E15 star
+// join — per-stage join/aggregate serial/parallel ratios (one morsel
+// worker vs the default count) and the scan cache's sim-I/O delta, all
+// read off the observability layer (DESIGN.md experiment E16).
 func BenchmarkE16Observability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunE16(400000)
@@ -303,10 +302,10 @@ func BenchmarkE16Observability(b *testing.B) {
 		}
 		for _, st := range res.Stages {
 			if st.Name == "join" {
-				b.ReportMetric(st.Speedup, "join_stage_x")
+				b.ReportMetric(st.Speedup, "join_serial_parallel_x")
 			}
 			if st.Name == "aggregate" {
-				b.ReportMetric(st.Speedup, "aggregate_stage_x")
+				b.ReportMetric(st.Speedup, "aggregate_serial_parallel_x")
 			}
 		}
 		b.ReportMetric(float64(res.ColdScanSim.Milliseconds()), "cold_scan_sim_ms")

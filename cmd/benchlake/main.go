@@ -483,8 +483,7 @@ func runE15(_ *obsSetup) (any, error) {
 		return nil, err
 	}
 	header("E15 | vectorized parallel execution: typed kernels, morsels, scan cache (real CPU time)")
-	fmt.Printf("fact=%d dim=%d  row-at-a-time=%v  vectorized=%v  speedup=%.2fx\n",
-		res.FactRows, res.DimRows, res.LegacyTime, res.VectorizedTime, res.Speedup)
+	fmt.Printf("fact=%d dim=%d\n", res.FactRows, res.DimRows)
 	fmt.Printf("%-8s %14s %10s\n", "workers", "time", "vs 1")
 	for _, r := range res.Scaling {
 		fmt.Printf("%-8d %14s %9.2fx\n", r.Workers, r.Time, r.Speedup)
@@ -500,12 +499,12 @@ func runE16(_ *obsSetup) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	header("E16 | observability: trace-span attribution of the E15 speedup")
-	fmt.Printf("fact=%d  legacy=%v  vectorized=%v  overall=%.2fx\n",
-		res.FactRows, res.LegacyTotal, res.VectorizedTotal, res.Speedup)
-	fmt.Printf("%-10s %14s %14s %10s\n", "stage", "legacy", "vectorized", "speedup")
+	header("E16 | observability: trace-span attribution of the E15 star join, 1 worker vs default")
+	fmt.Printf("fact=%d  serial=%v  parallel=%v  overall=%.2fx\n",
+		res.FactRows, res.SerialTotal, res.ParallelTotal, res.Speedup)
+	fmt.Printf("%-10s %14s %14s %10s\n", "stage", "serial", "parallel", "speedup")
 	for _, st := range res.Stages {
-		fmt.Printf("%-10s %14s %14s %9.2fx\n", st.Name, st.Legacy, st.Vectorized, st.Speedup)
+		fmt.Printf("%-10s %14s %14s %9.2fx\n", st.Name, st.Serial, st.Parallel, st.Speedup)
 	}
 	fmt.Printf("scan cache sim-I/O: cold=%v (%d GETs) warm=%v (%d GETs)  hits=%d misses=%d\n",
 		res.ColdScanSim, res.ColdGets, res.WarmScanSim, res.WarmGets, res.CacheHits, res.CacheMisses)

@@ -110,10 +110,6 @@ type Options struct {
 	EnableScanCache bool
 	// ScanCacheBytes is the cache's decoded-byte budget (0 = default).
 	ScanCacheBytes int64
-	// RowAtATimeExec forces the historical row-at-a-time join and
-	// aggregation paths; kept as the baseline for the E15 speedup
-	// comparison and as the reference arm of differential tests.
-	RowAtATimeExec bool
 	// SkipQuarantined lets scans skip integrity-quarantined files with
 	// a warning event ("integrity.warnings") instead of failing the
 	// query with a typed error — an explicit opt-in for
@@ -127,7 +123,7 @@ type Options struct {
 	// columns stay dictionary codes through filter/join/group/order,
 	// decoding only at result emission. Results are bit-identical to
 	// the eager heap path (the oracle matrix runs with it on); it is
-	// the baseline-off arm of E20. Ignored under RowAtATimeExec.
+	// the baseline-off arm of E20.
 	GCLean bool
 	// ArenaRetainBytes caps how much slab capacity one recycled arena
 	// may keep between queries (0 = arena.DefaultRetainBytes). Size it
@@ -520,7 +516,7 @@ func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (res *R
 			ctx.Trace.Finish()
 		}
 	}()
-	if e.Opts.GCLean && !e.Opts.RowAtATimeExec && ctx.mem.Al == nil && e.arenas != nil {
+	if e.Opts.GCLean && ctx.mem.Al == nil && e.arenas != nil {
 		ar := e.arenas.Get()
 		ctx.mem = vector.Mem{Al: ar, LateMat: true}
 		// Runs before the span-ending defer above (LIFO), so the arena

@@ -10,11 +10,13 @@ import (
 	"biglake/internal/vector"
 )
 
-// These tests pin the vectorized executor to the row-at-a-time
-// baseline: for every query the typed-kernel path must return the
-// same rows in the same order with the same types, for any morsel
-// worker count. The scan-cache tests pin generation keying: an
-// overwrite must never serve stale decoded bytes.
+// These tests pin the vectorized executor's row order: for every
+// query the typed-kernel path must return the same rows in the same
+// order with the same types, for any morsel worker count (the values
+// themselves are checked against internal/oracle in reference_test.go
+// and by the oracle's own battery). The
+// scan-cache tests pin generation keying: an overwrite must never
+// serve stale decoded bytes.
 
 // createCustom writes rows as nFiles colfmt files under <name>/ and
 // registers the BigLake table.
@@ -70,10 +72,26 @@ func fingerprint(b *vector.Batch) string {
 	return sb.String()
 }
 
+// starTable is one table of the star world: its rows are written as
+// nFiles colfmt files, in row order.
+type starTable struct {
+	name   string
+	schema vector.Schema
+	rows   [][]vector.Value
+	nFiles int
+}
+
 // starWorld builds a fact and dimension with multi-column keys, NULL
 // keys on both sides, a dictionary-heavy group column, and an empty
 // table.
 func starWorld(t *testing.T, ev *env) {
+	for _, tb := range starTables() {
+		ev.createCustom(t, tb.name, tb.schema, tb.rows, tb.nFiles)
+	}
+}
+
+// starTables returns the rows starWorld installs.
+func starTables() []starTable {
 	factSchema := vector.NewSchema(
 		vector.Field{Name: "k1", Type: vector.Int64},
 		vector.Field{Name: "k2", Type: vector.String},
@@ -96,7 +114,6 @@ func starWorld(t *testing.T, ev *env) {
 			vector.FloatValue(float64(i%7) / 4),
 		})
 	}
-	ev.createCustom(t, "fct", factSchema, fact, 3)
 
 	dimSchema := vector.NewSchema(
 		vector.Field{Name: "k1", Type: vector.Int64},
@@ -114,14 +131,18 @@ func starWorld(t *testing.T, ev *env) {
 			vector.StringValue(fmt.Sprintf("dim-%d", i)),
 		})
 	}
-	ev.createCustom(t, "dm", dimSchema, dim, 1)
-	ev.createCustom(t, "void", factSchema, nil, 1)
+	return []starTable{
+		{"fct", factSchema, fact, 3},
+		{"dm", dimSchema, dim, 1},
+		{"void", factSchema, nil, 1},
+	}
 }
 
-// vectorizedBattery is the differential query set: every construct
-// the kernels changed — multi-key joins, NULL join keys, LEFT JOIN
-// null-extension, dict-encoded GROUP BY, empty inputs, LIMIT and
-// top-K ORDER BY.
+// vectorizedBattery is the worker-count invariance query set: every
+// construct the kernels changed — multi-key joins, NULL join keys,
+// LEFT JOIN null-extension, dict-encoded GROUP BY, empty inputs, LIMIT
+// and top-K ORDER BY. TestVectorizedMatchesLegacy and internal/oracle's
+// fixed battery run the same queries against the reference executor.
 var vectorizedBattery = []string{
 	`SELECT f.v, f.k2, d.name FROM ds.fct AS f JOIN ds.dm AS d ON f.k1 = d.k1 AND f.k2 = d.k2`,
 	`SELECT f.v, d.name FROM ds.fct AS f LEFT JOIN ds.dm AS d ON f.k1 = d.k1 AND f.k2 = d.k2`,
@@ -138,21 +159,6 @@ var vectorizedBattery = []string{
 	`SELECT v FROM ds.fct WHERE v >= 10 LIMIT 5`,
 	`SELECT f.k2, COUNT(*) AS n FROM ds.fct AS f JOIN ds.dm AS d ON f.k2 = d.k2
 		GROUP BY f.k2 ORDER BY n DESC LIMIT 2`,
-}
-
-func TestVectorizedMatchesLegacy(t *testing.T) {
-	ev := newEnv(t, DefaultOptions())
-	starWorld(t, ev)
-	for _, sql := range vectorizedBattery {
-		ev.eng.Opts.RowAtATimeExec = false
-		vec := ev.query(t, adminP, sql)
-		ev.eng.Opts.RowAtATimeExec = true
-		leg := ev.query(t, adminP, sql)
-		ev.eng.Opts.RowAtATimeExec = false
-		if got, want := fingerprint(vec.Batch), fingerprint(leg.Batch); got != want {
-			t.Errorf("vectorized diverges from legacy for %q:\nvectorized:\n%s\nlegacy:\n%s", sql, got, want)
-		}
-	}
 }
 
 func TestVectorizedWorkerCountInvariance(t *testing.T) {

@@ -78,32 +78,6 @@ func TestArenaObservability(t *testing.T) {
 	}
 }
 
-// TestGCLeanMatchesRowAtATime is the engine-level eager/lean parity
-// spot check (the oracle matrix is the exhaustive version): the same
-// statements through GCLean and through the row-at-a-time executor
-// produce identical fingerprints.
-func TestGCLeanMatchesRowAtATime(t *testing.T) {
-	queries := []string{
-		starJoinSQL,
-		"SELECT * FROM ds.fct ORDER BY v, k1, k2 LIMIT 7",
-		"SELECT k2, SUM(v) AS s, COUNT(*) AS n FROM ds.fct GROUP BY k2 ORDER BY k2",
-	}
-	lean := newEnv(t, DefaultOptions())
-	starWorld(t, lean)
-	legacyOpts := DefaultOptions()
-	legacyOpts.RowAtATimeExec = true
-	legacy := newEnv(t, legacyOpts)
-	starWorld(t, legacy)
-	for _, q := range queries {
-		a := lean.query(t, adminP, q)
-		b := legacy.query(t, adminP, q)
-		if fingerprint(a.Batch) != fingerprint(b.Batch) {
-			t.Fatalf("GCLean diverges from row-at-a-time on %q:\n%s\nvs\n%s",
-				q, fingerprint(a.Batch), fingerprint(b.Batch))
-		}
-	}
-}
-
 // TestGCLeanTxnContextReuse pins the ctx.mem reset in Execute's arena
 // cleanup: a QueryContext reused across statements (the transaction
 // session pattern) must get a fresh arena per statement, never a

@@ -48,8 +48,8 @@ func TestExplainAnalyzeStarJoin(t *testing.T) {
 			aggRows = n.Rows
 		case n.Name == "join":
 			joinSpans++
-			if n.Attrs["exec"] == "" {
-				t.Error("join span missing exec attribute")
+			if n.Attrs["workers"] == "" {
+				t.Error("join span missing workers attribute")
 			}
 		}
 		for _, c := range n.Children {

@@ -217,6 +217,9 @@ type E2Result struct {
 	ThroughputGain  float64
 }
 
+// e2Rounds is how many alternating runs per arm RunE2 takes the best of.
+const e2Rounds = 5
+
 // RunE2 measures real CPU throughput of the two ReadRows pipelines
 // over a dictionary/RLE-heavy table.
 func RunE2(rows int) (E2Result, error) {
@@ -277,13 +280,25 @@ func RunE2(rows int) (E2Result, error) {
 	if _, err := measure(true); err != nil {
 		return E2Result{}, err
 	}
-	vec, err := measure(false)
-	if err != nil {
-		return E2Result{}, err
-	}
-	rowT, err := measure(true)
-	if err != nil {
-		return E2Result{}, err
+	// One run per arm is a few milliseconds, so a single GC pause or
+	// preemption can halve the ratio: keep each arm's fastest of
+	// e2Rounds alternating runs.
+	var vec, rowT time.Duration
+	for i := 0; i < e2Rounds; i++ {
+		v, err := measure(false)
+		if err != nil {
+			return E2Result{}, err
+		}
+		r, err := measure(true)
+		if err != nil {
+			return E2Result{}, err
+		}
+		if i == 0 || v < vec {
+			vec = v
+		}
+		if i == 0 || r < rowT {
+			rowT = r
+		}
 	}
 	out := E2Result{Rows: rows, VectorizedTime: vec, RowOrientedTime: rowT}
 	if vec > 0 {

@@ -24,19 +24,13 @@ type E15ScaleRow struct {
 }
 
 // E15Result reports real measured execution time of a star join +
-// GROUP BY over the row-at-a-time baseline and the typed-kernel path,
-// plus morsel-scaling and scan-cache effect. All arms must produce
+// GROUP BY on the typed-kernel path across morsel-worker counts, plus
+// the scan cache's cold/warm effect. All arms must produce
 // bit-identical results; RunE15 fails otherwise.
 type E15Result struct {
 	FactRows int
 	DimRows  int
-	// LegacyTime vs VectorizedTime is the tentpole comparison: string-
-	// keyed row-at-a-time join/aggregation vs typed hash kernels at the
-	// default worker count.
-	LegacyTime     time.Duration
-	VectorizedTime time.Duration
-	Speedup        float64
-	Scaling        []E15ScaleRow
+	Scaling  []E15ScaleRow
 	// Cold vs warm runs on a scan-cache-enabled engine. Real time shows
 	// the skipped decode; simulated time shows the skipped GETs.
 	CacheColdTime time.Duration
@@ -124,28 +118,12 @@ func RunE15(factRows int) (E15Result, error) {
 	out := E15Result{FactRows: factRows, DimRows: dimRows}
 	base := engine.DefaultOptions()
 
-	legacyOpts := base
-	legacyOpts.RowAtATimeExec = true
-	res, t, err := measure(legacyOpts, "e15-legacy")
-	if err != nil {
-		return E15Result{}, err
-	}
-	_ = res
-	out.LegacyTime = t
-
-	if res, t, err = measure(base, "e15-vectorized"); err != nil {
-		return E15Result{}, err
-	}
-	out.VectorizedTime = t
-	if out.VectorizedTime > 0 {
-		out.Speedup = float64(out.LegacyTime) / float64(out.VectorizedTime)
-	}
-
 	var oneWorker time.Duration
 	for _, w := range []int{1, 2, 4, 8} {
 		opts := base
 		opts.MorselWorkers = w
-		if _, t, err = measure(opts, fmt.Sprintf("e15-w%d", w)); err != nil {
+		_, t, err := measure(opts, fmt.Sprintf("e15-w%d", w))
+		if err != nil {
 			return E15Result{}, err
 		}
 		row := E15ScaleRow{Workers: w, Time: t}

@@ -9,31 +9,33 @@ import (
 	"biglake/internal/obs"
 )
 
-// --- E16: observability — attributing E15's vectorized speedup with
-// trace spans, and the scan cache's sim-I/O savings with the metrics
-// registry ---
+// --- E16: observability — attributing E15's star join stage by stage
+// with trace spans, and the scan cache's sim-I/O savings with the
+// metrics registry ---
 
-// E16Stage is one executor stage's wall time under both arms.
+// E16Stage is one executor stage's wall time at one morsel worker and
+// at the default worker count.
 type E16Stage struct {
-	Name       string
-	Legacy     time.Duration
-	Vectorized time.Duration
-	Speedup    float64 // legacy/vectorized; 0 when vectorized is ~0
+	Name     string
+	Serial   time.Duration
+	Parallel time.Duration
+	Speedup  float64 // serial/parallel; 0 when parallel is ~0
 }
 
-// E16Result attributes where E15's end-to-end speedup comes from. The
-// stage table is read straight off the per-operator trace spans, so it
-// is the EXPLAIN ANALYZE view of the same two runs; the cache section
-// pairs per-scan-span simulated I/O with the registry's GET counter.
+// E16Result attributes the E15 star join's parallel speedup (or its
+// absence) to operator stages. The stage table is read straight off
+// the per-operator trace spans, so it is the EXPLAIN ANALYZE view of
+// the same two runs; the cache section pairs per-scan-span simulated
+// I/O with the registry's GET counter.
 type E16Result struct {
 	FactRows int
 
-	// Wall-time attribution of legacy vs vectorized execution, by
-	// operator stage (scan/join/aggregate/order_by).
-	LegacyTotal     time.Duration
-	VectorizedTotal time.Duration
-	Speedup         float64
-	Stages          []E16Stage
+	// Wall-time attribution of MorselWorkers=1 vs the default worker
+	// count, by operator stage (scan/join/aggregate/order_by).
+	SerialTotal   time.Duration
+	ParallelTotal time.Duration
+	Speedup       float64
+	Stages        []E16Stage
 
 	// Scan-cache effect: cold (miss) vs warm (hit) run on one engine.
 	// ScanSim is the summed simulated time of the scan spans; Gets is
@@ -80,8 +82,9 @@ func scanSim(t *obs.Trace) time.Duration {
 }
 
 // RunE16 re-runs the E15 star join with tracing enabled and explains
-// the speedup: which operator stages got faster under the typed-kernel
-// path, and how much simulated I/O the scan cache removes.
+// its parallel scaling: which operator stages get faster with the
+// default morsel worker count than with one worker, and how much
+// simulated I/O the scan cache removes.
 func RunE16(factRows int) (E16Result, error) {
 	const dimRows = 1024
 	const factFiles = 8
@@ -128,35 +131,35 @@ func RunE16(factRows int) (E16Result, error) {
 	out := E16Result{FactRows: factRows}
 	base := engine.DefaultOptions()
 
-	legacyOpts := base
-	legacyOpts.RowAtATimeExec = true
-	legEng, legTr := mkEngine(legacyOpts)
-	legTrace, err := traced(legEng, legTr, "e16-legacy", true)
+	serialOpts := base
+	serialOpts.MorselWorkers = 1
+	serEng, serTr := mkEngine(serialOpts)
+	serTrace, err := traced(serEng, serTr, "e16-serial", true)
 	if err != nil {
 		return E16Result{}, err
 	}
-	vecEng, vecTr := mkEngine(base)
-	vecTrace, err := traced(vecEng, vecTr, "e16-vectorized", true)
+	parEng, parTr := mkEngine(base)
+	parTrace, err := traced(parEng, parTr, "e16-parallel", true)
 	if err != nil {
 		return E16Result{}, err
 	}
 
-	legStages, vecStages := stageWall(legTrace), stageWall(vecTrace)
+	serStages, parStages := stageWall(serTrace), stageWall(parTrace)
 	for _, name := range e16StageNames {
-		l, v := legStages[name], vecStages[name]
-		if l == 0 && v == 0 {
+		s, p := serStages[name], parStages[name]
+		if s == 0 && p == 0 {
 			continue
 		}
-		row := E16Stage{Name: name, Legacy: l, Vectorized: v}
-		if v > 0 {
-			row.Speedup = float64(l) / float64(v)
+		row := E16Stage{Name: name, Serial: s, Parallel: p}
+		if p > 0 {
+			row.Speedup = float64(s) / float64(p)
 		}
 		out.Stages = append(out.Stages, row)
-		out.LegacyTotal += l
-		out.VectorizedTotal += v
+		out.SerialTotal += s
+		out.ParallelTotal += p
 	}
-	if out.VectorizedTotal > 0 {
-		out.Speedup = float64(out.LegacyTotal) / float64(out.VectorizedTotal)
+	if out.ParallelTotal > 0 {
+		out.Speedup = float64(out.SerialTotal) / float64(out.ParallelTotal)
 	}
 
 	// Scan-cache attribution: cold then warm on one cache-enabled

@@ -318,17 +318,8 @@ func TestE15VectorizedExecShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// RunE15 itself verifies every arm returns bit-identical results;
-	// here we assert the performance shape. Real-time speedups are
-	// noisy at test scale (and compressed under -race, which taxes the
-	// kernels' tight loops hardest), so thresholds are conservative;
-	// BenchmarkE15 reports the headline numbers at full scale.
-	want := 1.3
-	if raceEnabled {
-		want = 0.7
-	}
-	if res.Speedup < want {
-		t.Fatalf("kernel speedup = %.2fx, want >= %.1fx", res.Speedup, want)
-	}
+	// here we assert the measurement shape. BenchmarkE15 reports the
+	// headline numbers at full scale.
 	if len(res.Scaling) != 4 {
 		t.Fatalf("scaling rows = %d", len(res.Scaling))
 	}

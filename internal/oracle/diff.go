@@ -183,6 +183,9 @@ type harness struct {
 	logf   func(format string, args ...any)
 	tracer *obs.Tracer
 	serve  bool
+	// workers is every cell engine's MorselWorkers (0 = the engine
+	// default, which follows GOMAXPROCS).
+	workers int
 	// sessions caches one serve session per cell engine so the serve
 	// arm reuses warmed server state the way a real client would.
 	sessions map[*engine.Engine]*serve.Session
@@ -236,6 +239,7 @@ func (h *harness) engineFor(cfg Config) *engine.Engine {
 		EnableDPP:        cfg.DPP,
 		PruneGranularity: cfg.Granularity,
 		EnableScanCache:  cfg.ScanCache,
+		MorselWorkers:    h.workers,
 		// GC-lean on: every differential query also cross-checks the
 		// arena + late-materialization path against the oracle.
 		GCLean: true,
@@ -289,22 +293,32 @@ func (h *harness) install(tables []*GenTable) error {
 			continue
 		}
 		// BigLake: group rows by partition value (first-encounter
-		// order) and write each partition as one or more files.
+		// order) and write each partition as one or more files. An
+		// unpartitioned table is one unnamed partition whose files
+		// list in row order, so the engine scans its rows in exactly
+		// the oracle's order; it always gets at least one file, empty
+		// or not.
 		pi := t.Schema.Index(t.PartitionCol)
-		var parts []string
-		byPart := map[string][][]vector.Value{}
-		for _, row := range t.Rows {
-			pv := row[pi].S
-			if _, ok := byPart[pv]; !ok {
-				parts = append(parts, pv)
+		parts := []string{""}
+		byPart := map[string][][]vector.Value{"": t.Rows}
+		if t.PartitionCol != "" {
+			parts, byPart = nil, map[string][][]vector.Value{}
+			for _, row := range t.Rows {
+				pv := row[pi].S
+				if _, ok := byPart[pv]; !ok {
+					parts = append(parts, pv)
+				}
+				byPart[pv] = append(byPart[pv], row)
 			}
-			byPart[pv] = append(byPart[pv], row)
+		}
+		perFile := t.FileRows
+		if perFile <= 0 {
+			perFile = 18
 		}
 		for _, pv := range parts {
 			rows := byPart[pv]
-			const perFile = 18
 			file := 0
-			for start := 0; start < len(rows); start += perFile {
+			for start := 0; start < len(rows) || file == 0; start += perFile {
 				end := start + perFile
 				if end > len(rows) {
 					end = len(rows)
@@ -317,7 +331,10 @@ func (h *harness) install(tables []*GenTable) error {
 				if err != nil {
 					return err
 				}
-				key := fmt.Sprintf("%s/%s=%s/part-%03d.blk", short, t.PartitionCol, pv, file)
+				key := fmt.Sprintf("%s/part-%03d.blk", short, file)
+				if t.PartitionCol != "" {
+					key = fmt.Sprintf("%s/%s=%s/part-%03d.blk", short, t.PartitionCol, pv, file)
+				}
 				if _, err := h.w.store.Put(h.w.cred, diffBucket, key, data, "application/x-blk"); err != nil {
 					return err
 				}

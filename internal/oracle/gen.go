@@ -14,9 +14,10 @@ import (
 type GenTable struct {
 	Full         string // "ds.t0"
 	Managed      bool
-	PartitionCol string // "" for managed tables
+	PartitionCol string // "" for managed and unpartitioned tables
 	Schema       vector.Schema
 	Rows         [][]vector.Value
+	FileRows     int // BigLake rows per object-store file (0 = 18)
 }
 
 // GenQuery is one generated SELECT plus the comparison contract it

@@ -1,8 +1,8 @@
 package vector
 
-// This file implements the grouped-aggregation kernel: GroupKeys
+// This file implements the grouped-aggregation kernel: GroupKeysWith
 // assigns every row a dense group ID from typed multi-column keys
-// (morsel-parallel, first-encounter group order), and GroupAggregate
+// (morsel-parallel, first-encounter group order), and GroupAggregateWith
 // folds SUM/COUNT/MIN/MAX partials per group without per-row Value
 // boxing.
 //
@@ -13,14 +13,14 @@ package vector
 // workers; float SUM/MIN/MAX are not associative (and min/max folds
 // are order-sensitive in the presence of NaN), so those run in a
 // dedicated sequential pass in ascending row order — exactly the
-// order the row-at-a-time path used.
+// order internal/oracle folds them in.
 
 // nullKeyHash is the hash contribution of a NULL group-key value.
 // Unlike join keys, GROUP BY treats NULL as a regular key (all NULLs
 // form one group).
 var nullKeyHash = mix64(^uint64(0))
 
-// Grouping is the outcome of GroupKeys: a dense group ID per row plus
+// Grouping is the outcome of GroupKeysWith: a dense group ID per row plus
 // one representative row per group, both in first-encounter order.
 type Grouping struct {
 	NumGroups int
@@ -64,26 +64,21 @@ func groupKeysEq(keys []keyAccess, i, j int) bool {
 	return true
 }
 
-// GroupKeys computes the grouping of n rows by the given key columns.
-// With no key columns it returns the single global group (even over
-// zero rows, matching SQL's global-aggregate-of-empty-input one-row
-// semantics; Rep[0] is -1 in that case).
-func GroupKeys(keys []*Column, n, workers int) Grouping {
-	return GroupKeysWith(Mem{}, keys, n, workers)
-}
-
 // localTableSize is the per-worker open-addressing table used for
 // morsel-local grouping: a power of two at least 2x MorselRows, so
 // the table never exceeds half load and never needs to grow. Exact
 // hash+key comparison makes the table size invisible in results.
 const localTableSize = 8192
 
-// GroupKeysWith is GroupKeys with an explicit memory policy. The
-// per-morsel map[uint64][]int32 tables of the original implementation
-// are replaced by reusable per-worker open-addressing tables and flat
-// representative buffers — zero steady-state allocation — while
-// producing the identical grouping (global first-encounter order,
-// merged sequentially in morsel order).
+// GroupKeysWith computes the grouping of n rows by the given key
+// columns. With no key columns it returns the single global group
+// (even over zero rows, matching SQL's global-aggregate-of-empty-input
+// one-row semantics; Rep[0] is -1 in that case).
+//
+// Scratch comes from m's allocator: reusable per-worker
+// open-addressing tables and flat representative buffers, so steady
+// state allocates nothing. Groups are numbered in global
+// first-encounter order, merged sequentially in morsel order.
 func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 	if workers < 1 {
 		workers = 1
@@ -282,7 +277,7 @@ func newAggPartial(al Alloc, sp AggSpec, numGroups int) *aggPartial {
 
 // sequentialSpec reports whether a spec must be folded in ascending
 // row order on one goroutine: float accumulation is not associative
-// (SUM), and the historical min/max fold is order-sensitive when NaNs
+// (SUM), and the reference min/max fold is order-sensitive when NaNs
 // are present, so all Float64 folds except COUNT stay sequential.
 func sequentialSpec(sp AggSpec) bool {
 	return sp.Col != nil && sp.Col.Type == Float64 && sp.Kind != AggCount
@@ -327,8 +322,8 @@ func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int
 				p.sumF[g] += ka.c.Floats[ka.valIdx(i)]
 			}
 		default:
-			// Bool/String/Bytes SUM historically summed Value.I, which
-			// is always 0 for these types: count rows, sum stays 0.
+			// Bool/String/Bytes SUM sums Value.I (as the oracle does),
+			// which is always 0 for these types: count rows, sum stays 0.
 			for i := lo; i < hi; i++ {
 				if !ka.null(i) {
 					p.cnt[ids[i]]++
@@ -349,7 +344,7 @@ func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int
 					p.set[g], p.accI[g], p.accRow[g] = true, v, int32(i)
 					continue
 				}
-				// Historical ordering compares numerics as float64.
+				// Value.Compare orders numerics as float64.
 				c := cmpFloat(float64(v), float64(p.accI[g]))
 				if (min && c < 0) || (!min && c > 0) {
 					p.accI[g], p.accRow[g] = v, int32(i)
@@ -467,7 +462,7 @@ func copyAcc(dst, src *aggPartial, t Type, g int) {
 }
 
 // finishSpec materializes the per-group result Values of one spec,
-// matching the row-at-a-time semantics: COUNT is never NULL; SUM and
+// matching the oracle's semantics: COUNT is never NULL; SUM and
 // MIN/MAX over zero non-null rows are NULL; integer-family SUM yields
 // Int64 (even for Timestamp inputs); MIN/MAX keep the column's type.
 func finishSpec(p *aggPartial, sp AggSpec, out []Value) {
@@ -510,18 +505,14 @@ func finishSpec(p *aggPartial, sp AggSpec, out []Value) {
 	}
 }
 
-// GroupAggregate computes the given aggregates per group and returns
-// results[spec][group]. ids and numGroups come from GroupKeys;
-// workers bounds the morsel-parallel fan-out. Associative folds
-// (COUNT, integer SUM, tie-broken MIN/MAX) run morsel-parallel with
-// per-worker partials; Float64 SUM/MIN/MAX fold sequentially in row
-// order so float results stay bit-identical to the sequential path.
-func GroupAggregate(ids []int32, numGroups int, specs []AggSpec, workers int) [][]Value {
-	return GroupAggregateWith(Mem{}, ids, numGroups, specs, workers)
-}
-
-// GroupAggregateWith is GroupAggregate taking accumulator arrays (and
-// dictionary hash caches) from m's allocator.
+// GroupAggregateWith computes the given aggregates per group and
+// returns results[spec][group]. ids and numGroups come from
+// GroupKeysWith; workers bounds the morsel-parallel fan-out.
+// Associative folds (COUNT, integer SUM, tie-broken MIN/MAX) run
+// morsel-parallel with per-worker partials; Float64 SUM/MIN/MAX fold
+// sequentially in ascending row order so float results are
+// bit-identical to the oracle's fold. Accumulator arrays (and
+// dictionary hash caches) come from m's allocator.
 func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, workers int) [][]Value {
 	if workers < 1 {
 		workers = 1

@@ -9,8 +9,8 @@ import "math"
 // entry when dict-encoded — so no per-row Value boxing or string key
 // materialization happens on the hot path.
 //
-// Key identity deliberately mirrors the engine's historical
-// `Type|String()` rendering (shared with the differential oracle):
+// Key identity deliberately mirrors the `Type|String()` key rendering
+// of the reference oracle (internal/oracle):
 // values of different logical types never compare equal (Int64(5) is
 // not Timestamp(5) and not Float64(5.0)), every NaN is one key, and
 // -0.0 and +0.0 are distinct keys (they render differently under %g).

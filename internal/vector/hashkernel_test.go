@@ -96,12 +96,12 @@ func checkJoinAllWorkers(t *testing.T, left, right *Batch, lk, rk []int, kind Jo
 	t.Helper()
 	want := refJoin(left, right, lk, rk, kind)
 	for _, w := range workerCounts {
-		got, err := HashJoin(left, right, lk, rk, kind, w)
+		got, err := HashJoinWith(Mem{}, left, right, lk, rk, kind, w)
 		if err != nil {
-			t.Fatalf("HashJoin(workers=%d): %v", w, err)
+			t.Fatalf("HashJoinWith(workers=%d): %v", w, err)
 		}
 		if !joinEq(got, want) {
-			t.Fatalf("HashJoin(workers=%d) mismatch:\n got %+v\nwant %+v", w, got, want)
+			t.Fatalf("HashJoinWith(workers=%d) mismatch:\n got %+v\nwant %+v", w, got, want)
 		}
 	}
 }
@@ -153,11 +153,11 @@ func TestHashJoinTypeMismatchNeverMatches(t *testing.T) {
 		NewFloat64Column([]float64{1, 2}),
 	} {
 		right := batchOf(rc)
-		got, err := HashJoin(left, right, []int{0}, []int{0}, InnerJoin, 2)
+		got, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, InnerJoin, 2)
 		if err != nil || len(got.Left) != 0 {
 			t.Fatalf("type-mismatched join produced %d pairs (err %v)", len(got.Left), err)
 		}
-		got, err = HashJoin(left, right, []int{0}, []int{0}, LeftOuterJoin, 2)
+		got, err = HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, LeftOuterJoin, 2)
 		if err != nil || len(got.LeftOuter) != 2 {
 			t.Fatalf("type-mismatched LEFT join: outer=%v err=%v", got.LeftOuter, err)
 		}
@@ -213,11 +213,11 @@ func checkGroupAllWorkers(t *testing.T, cols []*Column, n int) Grouping {
 	wantIDs, wantReps := refGroup(cols, n)
 	var first Grouping
 	for _, w := range workerCounts {
-		g := GroupKeys(cols, n, w)
+		g := GroupKeysWith(Mem{}, cols, n, w)
 		if g.NumGroups != len(wantReps) ||
 			!reflect.DeepEqual(norm32(g.IDs), norm32(wantIDs)) ||
 			!reflect.DeepEqual(norm32(g.Rep), norm32(wantReps)) {
-			t.Fatalf("GroupKeys(workers=%d):\n got %+v\nwant ids=%v reps=%v", w, g, wantIDs, wantReps)
+			t.Fatalf("GroupKeysWith(workers=%d):\n got %+v\nwant ids=%v reps=%v", w, g, wantIDs, wantReps)
 		}
 		if w == 1 {
 			first = g
@@ -261,15 +261,15 @@ func TestGroupKeysFloatAndTypeIdentity(t *testing.T) {
 }
 
 func TestGroupKeysNoKeys(t *testing.T) {
-	g := GroupKeys(nil, 10, 4)
+	g := GroupKeysWith(Mem{}, nil, 10, 4)
 	if g.NumGroups != 1 || g.Rep[0] != 0 || len(g.IDs) != 10 {
 		t.Fatalf("no-key grouping: %+v", g)
 	}
-	g = GroupKeys(nil, 0, 4)
+	g = GroupKeysWith(Mem{}, nil, 0, 4)
 	if g.NumGroups != 1 || g.Rep[0] != -1 || len(g.IDs) != 0 {
 		t.Fatalf("no-key empty grouping: %+v", g)
 	}
-	g = GroupKeys([]*Column{NewInt64Column(nil)}, 0, 4)
+	g = GroupKeysWith(Mem{}, []*Column{NewInt64Column(nil)}, 0, 4)
 	if g.NumGroups != 0 || len(g.IDs) != 0 {
 		t.Fatalf("keyed empty grouping: %+v", g)
 	}
@@ -318,7 +318,7 @@ func TestGroupAggregateMatchesReference(t *testing.T) {
 	floats[MorselRows+7] = math.NaN()
 	floats[17] = math.Copysign(0, -1)
 	fc := NewFloat64Column(floats)
-	g := GroupKeys([]*Column{NewInt64Column(keys)}, n, 4)
+	g := GroupKeysWith(Mem{}, []*Column{NewInt64Column(keys)}, n, 4)
 
 	specs := []AggSpec{
 		{Kind: AggCount, Col: nil},
@@ -340,7 +340,7 @@ func TestGroupAggregateMatchesReference(t *testing.T) {
 		{Kind: AggMax, Col: NewBoolColumn(makeBools(n))},
 	}
 	for _, w := range workerCounts {
-		got := GroupAggregate(g.IDs, g.NumGroups, specs, w)
+		got := GroupAggregateWith(Mem{}, g.IDs, g.NumGroups, specs, w)
 		for s, sp := range specs {
 			want := refAggregate(sp, g.IDs, g.NumGroups, n)
 			if !valuesBitEqual(got[s], want) {
@@ -353,7 +353,7 @@ func TestGroupAggregateMatchesReference(t *testing.T) {
 
 func TestGroupAggregateEmptyAndAllNull(t *testing.T) {
 	// Zero rows with grouping: no groups, no values.
-	out := GroupAggregate(nil, 0, []AggSpec{{Kind: AggCount}}, 4)
+	out := GroupAggregateWith(Mem{}, nil, 0, []AggSpec{{Kind: AggCount}}, 4)
 	if len(out[0]) != 0 {
 		t.Fatalf("empty aggregate: %v", out)
 	}
@@ -361,7 +361,7 @@ func TestGroupAggregateEmptyAndAllNull(t *testing.T) {
 	n := 6
 	c := intCol(make([]int64, n), 0, 1, 2, 3, 4, 5)
 	ids := make([]int32, n)
-	out = GroupAggregate(ids, 1, []AggSpec{
+	out = GroupAggregateWith(Mem{}, ids, 1, []AggSpec{
 		{Kind: AggSum, Col: c}, {Kind: AggMin, Col: c}, {Kind: AggCount, Col: c},
 	}, 4)
 	if !out[0][0].IsNull() || !out[1][0].IsNull() || out[2][0].I != 0 {
@@ -421,12 +421,6 @@ func TestHeadAndGatherNull(t *testing.T) {
 			if !g.Value(i).Equal(wv) {
 				t.Fatalf("GatherNull(%v) row %d: %v != %v", c.Enc, i, g.Value(i), wv)
 			}
-		}
-	}
-	nc := NullColumn(String, 4)
-	for i := 0; i < 4; i++ {
-		if !nc.Value(i).IsNull() {
-			t.Fatalf("NullColumn row %d not null", i)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func parallelEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// JoinKind selects the join semantics of HashJoin.
+// JoinKind selects the join semantics of HashJoinWith.
 type JoinKind uint8
 
 // Join kinds.
@@ -117,17 +117,6 @@ type JoinResult struct {
 	LeftOuter []int32
 }
 
-// HashJoin executes a typed equi-join between the key columns of two
-// batches and returns matched index pairs. The build side (right) is
-// hash-partitioned and the partition tables are built in parallel; the
-// probe side (left) is split into fixed-size morsels fanned out over
-// the worker pool, with per-morsel outputs concatenated in morsel
-// order so results are deterministic for any worker count. Rows where
-// any key column is NULL never match.
-func HashJoin(left, right *Batch, leftKeys, rightKeys []int, kind JoinKind, workers int) (JoinResult, error) {
-	return HashJoinWith(Mem{}, left, right, leftKeys, rightKeys, kind, workers)
-}
-
 // probeSpan records where one probe morsel's output landed inside its
 // worker's scratch buffers, so the final concatenation replays morsel
 // order no matter which worker ran which morsel.
@@ -144,12 +133,18 @@ type probeScratch struct {
 	left, right, outer []int32
 }
 
-// HashJoinWith is HashJoin with an explicit memory policy: hashes,
-// partition scatter, bucket arrays and outputs come from m's
-// allocator, and per-worker scratch buffers replace the old per-morsel
-// append-to-nil slices. The build table is an open chain (head per
-// bucket + shared next array) instead of per-hash map buckets — same
-// candidate set, same order, no map allocation.
+// HashJoinWith executes a typed equi-join between the key columns of
+// two batches and returns matched index pairs. The build side (right)
+// is hash-partitioned and the partition tables are built in parallel;
+// the probe side (left) is split into fixed-size morsels fanned out
+// over the worker pool, with per-morsel outputs concatenated in morsel
+// order so results are deterministic for any worker count. Rows where
+// any key column is NULL never match.
+//
+// Hashes, partition scatter, bucket arrays and outputs come from m's
+// allocator, and per-worker scratch buffers hold the probe output. The
+// build table is an open chain (head per bucket + shared next array):
+// no map allocation.
 func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind JoinKind, workers int) (JoinResult, error) {
 	if workers < 1 {
 		workers = 1

@@ -61,26 +61,6 @@ func HeadBatch(b *Batch, n int) *Batch {
 	return &Batch{Schema: b.Schema, Cols: cols, N: n}
 }
 
-// NullColumn returns a plain column of n NULLs of the given type,
-// with zero-valued backing arrays like the Builder would produce.
-func NullColumn(t Type, n int) *Column {
-	out := &Column{Type: t, Len: n, Enc: Plain, Nulls: make([]bool, n)}
-	for i := range out.Nulls {
-		out.Nulls[i] = true
-	}
-	switch t {
-	case Int64, Timestamp:
-		out.Ints = make([]int64, n)
-	case Float64:
-		out.Floats = make([]float64, n)
-	case Bool:
-		out.Bools = make([]bool, n)
-	case String, Bytes:
-		out.Strs = make([]string, n)
-	}
-	return out
-}
-
 // GatherNull materializes the rows at idx into a new plain column,
 // with negative indices producing NULL — the LEFT JOIN null-extension
 // path. Values are copied type-directly, without per-row boxing.
